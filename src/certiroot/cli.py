@@ -187,18 +187,6 @@ def candidate_report(result: rootenum.RootCandidateList) -> dict:
     }
 
 
-def report_to_candidates(report: dict) -> rootenum.RootCandidateList:
-    """Rebuild a RootCandidateList from a parsed JSON report (round-trip)."""
-    return rootenum.RootCandidateList(
-        candidates=tuple(Fraction(c["value"]) for c in report["candidates"]),
-        interval_width=Fraction(report["interval_width"]),
-        length_bound=report["length_bound"],
-        beta=None if report["beta"] is None else Fraction(report["beta"]),
-        grid_bound=report["grid_bound"],
-        r_prime=report["r_prime"],
-    )
-
-
 # -- subcommands -------------------------------------------------------------
 
 def cmd_roots(args) -> dict:

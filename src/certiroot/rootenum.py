@@ -20,11 +20,15 @@ interval holds a root fires. A root exactly on a grid point makes both
 neighbors fire.
 
 The literal sweep is Theta(2^r') evaluations — hopeless at r = 32 — so the
-implementation descends recursively over cell ranges and prunes any range on
-which every chain element is certified (by exact interval Horner arithmetic,
-integer-scaled) to keep magnitude >= gamma: no chain element can vanish or
-go small there, all signs are constant, L = R everywhere inside, and no cell
-fires. The pruned result is bit-identical to the full sweep.
+implementation descends over dyadic cell ranges with an explicit stack (depth
+r' + 1 needs no recursion) and prunes any range on which every chain element
+is certified to keep magnitude >= gamma: no chain element can vanish or go
+small there, all signs are constant, L = R everywhere inside, and no cell
+fires. Certification is exact integer arithmetic: each range carries, per
+undecided element, its centred Taylor form, derived from the parent's by
+x -> (x +- 1)/2 with shifts and additions only (the bisection step of
+Collins-Akritas and Rouillier-Zimmermann). Ranges pop left to right, so the
+pruned result is bit-identical to the full sweep.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .approxsign import max_changes_of_classes, min_changes_of_classes
 from .errors import (
@@ -90,6 +95,37 @@ def ceil_log2(x) -> int:
     return e
 
 
+def _taylor_shift(c: list, t: int) -> list:
+    """Coefficients (low to high) of sum_j c_j (u + t)^j for t = +1 or -1.
+
+    Each round of prefix sums over the high-to-low list is one synthetic
+    division by (u - 1); t = -1 is t = +1 conjugated by u -> -u.
+    """
+    if t < 0:
+        c = [-x if j & 1 else x for j, x in enumerate(c)]
+    h, out = c[::-1], []
+    while h:
+        h = list(accumulate(h))
+        out.append(h.pop())
+    return [-x if j & 1 else x for j, x in enumerate(out)] if t < 0 else out
+
+
+def _child_forms(form: tuple, width: int) -> tuple:
+    """Centred forms of the left and right halves of a range of this width.
+
+    A half of width >= 2 has hw/2 and centre c -+ hw/2, so its form is
+    sum_j (a_j / 2^j)(u -+ 1)^j, exact because a_j carries hw^j, hw >= 2.
+    A unit cell is centred on its left end with hw = 1, as a width-2 range
+    is on m0 + 1, whose left cell is thus its form shifted by -1 and right
+    cell its form. The parent's a_0 = V(c) is the shared endpoint value.
+    """
+    a, v0, v1 = form
+    if width > 2:
+        a = [x >> j for j, x in enumerate(a)]
+    right = _taylor_shift(a, 1) if width > 2 else a
+    return (_taylor_shift(a, -1), v0, a[0]), (right, a[0], v1)
+
+
 class _ScaledChain:
     """Sturm chain with integer-rescaled coefficients for one grid.
 
@@ -97,84 +133,76 @@ class _ScaledChain:
     coefficients C_j / den (C_j integers over a common denominator), the
     integer V(m) = sum_j C_j * 2^(r(k-j)) * m^j satisfies
     P(m / 2^r) = V(m) / (den * 2^(rk)), so sign and |P| >= gamma tests are
-    pure integer comparisons: |P| < gamma  iff  |V| * g_den < g_num * den * 2^(rk).
+    pure integer comparisons: with gamma = g_num / g_den,
+    |P| < gamma  iff  |V| < lim = ceil(g_num * den * 2^(rk) / g_den).
+
+    A range [m0, m1] with centre c and half-width hw (a unit cell: c = m0,
+    hw = 1) has the centred form (a, V(m0), V(m1)) of V, where a_j =
+    b_j * hw^j for the Taylor coefficients b_j of V about c, i.e.
+    V(c + hw*u) = sum_j a_j u^j.
     """
 
     def __init__(self, chain, r: int, gamma: Fraction):
         self.r = r
         s = 1 << r
         g_num, g_den = gamma.numerator, gamma.denominator
-        self.g_den = g_den
-        self.polys = []  # (horner coeffs high->low as ints, rhs int)
+        self.polys = []  # (horner coeffs high->low as ints, lim int)
         for p in chain:
             dens = math.lcm(*(c.denominator for c in p.coeffs))
             ints = [int(c * dens) for c in p.coeffs]
             k = len(ints) - 1
             horner = [ints[k - j] * s**j for j in range(k + 1)]
-            rhs = g_num * dens * s**k
-            self.polys.append((horner, rhs))
+            self.polys.append((horner, -(-g_num * dens * s**k // g_den)))
         self._classify_cache: dict[int, tuple] = {}
+
+    def root_form(self, idx: int, half: int) -> tuple:
+        """Centred form of chain[idx] over [-half, half]: c = 0, hw = half."""
+        a = [h * half**j for j, h in enumerate(reversed(self.polys[idx][0]))]
+        return a, sum(a[::2]) - sum(a[1::2]), sum(a)
 
     def classify(self, m: int) -> tuple:
         """Entry classes ((sign, small), ...) of the chain at grid point m/2^r."""
         cached = self._classify_cache.get(m)
         if cached is not None:
             return cached
-        g_den = self.g_den
         out = []
-        for horner, rhs in self.polys:
+        for horner, lim in self.polys:
             v = horner[0]
             for h in horner[1:]:
                 v = v * m + h
             sign = 1 if v > 0 else (-1 if v < 0 else 0)
-            out.append((sign, abs(v) * g_den < rhs))
+            out.append((sign, abs(v) < lim))
         result = tuple(out)
         self._classify_cache[m] = result
         return result
 
-    def certified_off(self, idx: int, m0: int, m1: int) -> bool:
+    def certified_off(self, idx: int, m0: int, m1: int, form: tuple) -> bool:
         """True if |chain[idx]| >= gamma provably holds on [m0/2^r, m1/2^r].
 
-        Two exact integer enclosures of V over the real range, either of
-        which may clear the threshold. First a plain interval Horner pass —
-        cheap, and tight far away from the roots. Where that loses sign
-        information to the dependency problem (its slop scales with the raw
-        coefficient size, while the true value shrinks like distance^mult
-        near a root), fall back to the centered form: Taylor-shift V to the
-        range midpoint by synthetic division and bound the tail terms with
-        the triangle inequality. The shifted coefficients decay with the
-        same distance^(mult-j) the value does, so ranges only a few widths
-        away from a root still certify and the descent stays near-linear in
-        the recursion depth instead of exploding around high-multiplicity
-        roots.
+        form is chain[idx]'s centred form over the range. Checked in order:
+        1. Exact values: if V(m0), V(m1) differ in sign or one is 0, or
+           |V(c)| = |a_0| < lim, the range holds a small point and no sound
+           enclosure certifies it: False.
+        2. Centred form: |V| >= |a_0| - sum_{j>=1} |a_j| on the range. The
+           a_j decay like distance^(mult-j) near a root, so ranges a few
+           widths from a root certify and the descent stays near-linear in
+           depth even around high-multiplicity roots.
+        3. Plain interval Horner over [m0, m1]: tight far from the roots.
         """
-        horner, rhs = self.polys[idx]
+        a, v0, v1 = form
+        horner, lim = self.polys[idx]
+        a0 = abs(a[0])
+        if not (v0 > 0 < v1 or v0 < 0 > v1) or a0 < lim:
+            return False
+        if 2 * a0 - sum(map(abs, a)) >= lim:
+            return True
         lo = hi = horner[0]
         for h in horner[1:]:
             p1, p2 = lo * m0, lo * m1
             p3, p4 = hi * m0, hi * m1
             lo = min(p1, p2, p3, p4) + h
             hi = max(p1, p2, p3, p4) + h
-        g_den = self.g_den
-        if lo * g_den >= rhs or hi * g_den <= -rhs:
-            return True
-        k = len(horner) - 1
-        if k < 2:
-            return False  # the plain interval is already exact for these
-        mid = (m0 + m1) // 2
-        hw = max(mid - m0, m1 - mid)
-        b = list(horner)
-        for i in range(k):
-            for j in range(1, k - i + 1):
-                b[j] += b[j - 1] * mid
-        # b[k - j] is now the j-th Taylor coefficient of V about mid, so for
-        # |m - mid| <= hw:  |V(m) - b[k]| <= sum_j |b[k-j]| * hw^j.
-        tail = 0
-        pw = 1
-        for j in range(1, k + 1):
-            pw *= hw
-            tail += abs(b[k - j]) * pw
-        return (abs(b[k]) - tail) * g_den >= rhs
+        return lo >= lim or -hi >= lim
 
 
 def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
@@ -201,31 +229,38 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     chain = sturm_chain(c)
     scaled = _ScaledChain(chain, r, gamma)
     half = 1 << (e + r)  # grid numerators run over [-half, half]
-    width = Fraction(1, 1 << r)
     candidates: list[Fraction] = []
     two_r1 = 1 << (r + 1)
+    certified_off = scaled.certified_off
 
-    def descend(i0: int, i1: int, undecided: tuple) -> None:
-        m0, m1 = i0 - half, i1 - half
-        still = tuple(
-            idx for idx in undecided if not scaled.certified_off(idx, m0, m1)
-        )
-        if not still:
-            return
-        if i1 - i0 == 1:
+    # A stack entry is a range with the centred forms of its undecided chain
+    # elements; right halves go first, so ranges pop left to right.
+    forms = [(idx, scaled.root_form(idx, half)) for idx in range(len(chain))]
+    forms = [(idx, f) for idx, f in forms if not certified_off(idx, -half, half, f)]
+    stack = [(-half, half, forms)]
+    while stack:
+        m0, m1, forms = stack.pop()
+        if m1 - m0 == 1:
             left = scaled.classify(m0)
             right = scaled.classify(m1)
             if max_changes_of_classes(left) - min_changes_of_classes(right) >= 1:
                 candidates.append(Fraction(2 * m0 + 1, two_r1))
-            return
-        mid = (i0 + i1) // 2
-        descend(i0, mid, still)
-        descend(mid, i1, still)
-
-    descend(0, 2 * half, tuple(range(len(chain))))
+            continue
+        mid = (m0 + m1) >> 1
+        lefts, rights = [], []
+        for idx, form in forms:
+            left, right = _child_forms(form, m1 - m0)
+            if not certified_off(idx, m0, mid, left):
+                lefts.append((idx, left))
+            if not certified_off(idx, mid, m1, right):
+                rights.append((idx, right))
+        if rights:
+            stack.append((mid, m1, rights))
+        if lefts:
+            stack.append((m0, mid, lefts))
     return RootCandidateList(
         candidates=tuple(candidates),
-        interval_width=width,
+        interval_width=Fraction(1, 1 << r),
         length_bound=6 * d * d,
         beta=beta,
         grid_bound=1 << e,

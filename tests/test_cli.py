@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from certiroot import PrecisionParams, Polynomial, root_enum
-from certiroot.cli import main, report_to_candidates
+from certiroot import PrecisionParams, Polynomial, RootCandidateList, root_enum
+from certiroot.cli import main
 
 
 @pytest.fixture
@@ -26,6 +26,18 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def report_to_candidates(report: dict) -> RootCandidateList:
+    """Rebuild a RootCandidateList from a parsed JSON report (round-trip)."""
+    return RootCandidateList(
+        candidates=tuple(Fraction(c["value"]) for c in report["candidates"]),
+        interval_width=Fraction(report["interval_width"]),
+        length_bound=report["length_bound"],
+        beta=None if report["beta"] is None else Fraction(report["beta"]),
+        grid_bound=report["grid_bound"],
+        r_prime=report["r_prime"],
+    )
 
 
 X2M2 = {"coeffs": ["-2", "0", "1"], "roots": [["-3/2", 1], ["3/2", 1]]}
@@ -76,6 +88,19 @@ def test_json_keys_sorted(capsys, poly_file):
     assert out.strip() == json.dumps(
         json.loads(out), sort_keys=True, separators=(", ", ": ")
     )
+
+
+def test_roots_deep_precision(capsys, poly_file):
+    # 1203 halvings from the whole grid to a unit cell: deeper than the
+    # interpreter's default recursion limit.
+    path = poly_file("p.json", X2M2)
+    code, out = run(capsys, ["roots", "--poly", path, "--precision", "1200", "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["r_prime"] == 1203
+    assert report["cells_fired"] == 2
+    for q in report_to_candidates(report).candidates:
+        assert (abs(q) - Fraction(1, 2**1200)) ** 2 <= 2 <= (abs(q) + Fraction(1, 2**1200)) ** 2
 
 
 def test_gamma_flag_wins(capsys, poly_file):

@@ -6,18 +6,22 @@ the *identical* candidate tuple — pruning is an optimization with no
 licensed change in observable behavior.
 """
 
+import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from certiroot import (
+    ApproxContext,
     DegreeTooLow,
     DegreeUnresolved,
     IdenticalPolynomials,
     PlantedSpec,
     Polynomial,
     PrecisionParams,
+    SeparationTooSmall,
     ThresholdNonPositive,
     cauchy_bound,
     ceil_log2,
@@ -26,6 +30,8 @@ from certiroot import (
     min_sign_change,
     plant,
     root_enum,
+    rootenum,
+    small_value_threshold,
     sturm_chain,
     sturm_eval,
 )
@@ -35,20 +41,26 @@ rng = random.Random(0x600D)
 X2_MINUS_2 = Polynomial([-2, 0, 1])
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_values(poly, r):
+    """Sturm chain values at every grid point m/2^r of [-2^e, 2^e]."""
+    chain = sturm_chain(poly)
+    half = 1 << (max(0, ceil_log2(cauchy_bound(poly))) + r)
+    return half, [sturm_eval(chain, Fraction(m, 1 << r)) for m in range(-half, half + 1)]
+
+
 def naive_grid_scan(poly, params):
     """Fire every cell [m/2^r, (m+1)/2^r] with max(left) - min(right) >= 1,
     scanning the full grid over [-2^e, 2^e], 2^e >= cauchy_bound(poly)."""
-    chain = sturm_chain(poly)
+    half, values = _grid_values(poly, params.r)
     gamma = Fraction(params.gamma)
-    e = max(0, ceil_log2(cauchy_bound(poly)))
-    half = 1 << (e + params.r)
     two_r = 1 << params.r
     out = []
-    for m in range(-half, half):
-        left = max_sign_change(sturm_eval(chain, Fraction(m, two_r)), gamma)
-        right = min_sign_change(sturm_eval(chain, Fraction(m + 1, two_r)), gamma)
+    for i in range(2 * half):
+        left = max_sign_change(values[i], gamma)
+        right = min_sign_change(values[i + 1], gamma)
         if left - right >= 1:
-            out.append(Fraction(2 * m + 1, 2 * two_r))
+            out.append(Fraction(2 * (i - half) + 1, 2 * two_r))
     return tuple(out)
 
 
@@ -152,13 +164,37 @@ def test_pruned_descent_equals_naive_scan_frozen():
 
 
 def test_pruned_descent_equals_naive_scan_random():
-    for _ in range(25):
-        deg = rng.randint(1, 3)
-        coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(deg)]
-        coeffs.append(Fraction(rng.choice([-2, -1, 1, 2])))
-        poly = Polynomial(coeffs)
-        params = PrecisionParams(r=rng.choice([2, 3]), gamma=Fraction(1, 2**10))
-        assert root_enum(poly, params).candidates == naive_grid_scan(poly, params)
+    """Planted degree <= 6 (roots on the 1/4 lattice of [-1, 1], multiplicity
+    <= 3, optional quadratic factor), 2 <= r <= 10, and gamma at the
+    certified floor, at 2^-r and at the coarse 1/64."""
+    local = random.Random(0xD1FF)
+    for i in range(14):
+        quad = local.random() < 0.25
+        budget = 6 - 2 * quad
+        k = local.randint(1, min(4, budget))
+        mults = []
+        for j in range(k):
+            mults.append(local.randint(1, min(3, budget - sum(mults) - (k - 1 - j))))
+        nums = local.sample(range(-4, 5), k)
+        spec = PlantedSpec(
+            real_roots=tuple((Fraction(v, 4), m) for v, m in zip(nums, mults)),
+            irreducible_quadratics=((Fraction(local.randint(-1, 1)), Fraction(1)),) * quad,
+            leading=Fraction(local.choice([1, -1, 2, -2])),
+        )
+        planted = plant(spec)
+        poly = planted.polynomial
+        r = 10 if i == 0 else local.randint(2, 10)
+        gammas = [Fraction(1, 2**r), Fraction(1, 64)]
+        try:
+            gammas.append(small_value_threshold(
+                poly, planted.delta_min or 1, ApproxContext(r=r, d=poly.degree),
+                planted.factor_floor))
+        except SeparationTooSmall:
+            pass
+        for gamma in gammas:
+            params = PrecisionParams(r=r, gamma=gamma)
+            assert root_enum(poly, params).candidates == naive_grid_scan(poly, params), (
+                spec, r, gamma)
 
 
 def test_pruned_descent_equals_naive_scan_small_gamma_interactions():
@@ -166,6 +202,96 @@ def test_pruned_descent_equals_naive_scan_small_gamma_interactions():
     poly = Polynomial([0, -1, 0, 1])  # roots -1, 0, 1
     params = PrecisionParams(r=3, gamma=Fraction(1, 4))
     assert root_enum(poly, params).candidates == naive_grid_scan(poly, params)
+
+
+def test_deep_descent_needs_no_recursion():
+    # Cauchy exponent ~1000: unit cells lie ~1010 halvings below the whole
+    # grid, deeper than the interpreter's default recursion limit.
+    root, h = Fraction(1 << 500), Fraction(1, 512)
+    result = root_enum(
+        Polynomial([-(1 << 1000), 0, 1]), PrecisionParams(r=8, gamma=Fraction(1, 2**16))
+    )
+    assert result.r_prime == 1010
+    assert result.candidates == (-root - h, -root + h, root - h, root + h)
+
+
+# --- range certification: inherited forms against a from-scratch reference ---
+
+
+def _horner(coeffs, m):
+    v = 0
+    for h in coeffs:
+        v = v * m + h
+    return v
+
+
+def _direct_form(horner, m0, m1):
+    """Centred form of V over [m0, m1] from scratch: synthetic division to
+    the centre (m0 for a unit cell), Taylor coefficient j times hw^j."""
+    k = len(horner) - 1
+    mid = (m0 + m1) // 2
+    hw = max(mid - m0, m1 - mid)
+    b = list(horner)
+    for i in range(k):
+        for j in range(1, k - i + 1):
+            b[j] += b[j - 1] * mid
+    return [b[k - j] * hw**j for j in range(k + 1)], _horner(horner, m0), _horner(horner, m1)
+
+
+def _reference_certified_off(horner, rhs, g_den, m0, m1):
+    """Plain interval Horner, then the centred form rebuilt from scratch."""
+    lo = hi = horner[0]
+    for h in horner[1:]:
+        ends = (lo * m0, lo * m1, hi * m0, hi * m1)
+        lo, hi = min(ends) + h, max(ends) + h
+    if lo * g_den >= rhs or hi * g_den <= -rhs:
+        return True
+    if len(horner) < 3:
+        return False
+    a = _direct_form(horner, m0, m1)[0]
+    return (abs(a[0]) - sum(abs(x) for x in a[1:])) * g_den >= rhs
+
+
+def test_inherited_forms_match_direct_shift_and_reference():
+    """Walk from the whole grid down to a unit cell (toward a fired cell or
+    a random one). The whole grid's form and, at every step, both halves'
+    inherited forms equal the direct shift, and certified_off returns the
+    reference's bool."""
+    local = random.Random(0xF0E)
+    outcomes = set()
+    for _ in range(60):
+        deg = local.randint(1, 8)
+        coeffs = [local.randint(-9, 9) for _ in range(deg)] + [local.choice([-3, -1, 1, 2])]
+        poly = Polynomial(coeffs)
+        r = local.randint(2, 6)
+        gamma = local.choice([Fraction(1, 2 ** (deg * r)), Fraction(1, 2**r), Fraction(1, 64)])
+        chain = sturm_chain(poly)
+        scaled = rootenum._ScaledChain(chain, r, gamma)
+        half = 1 << (max(0, ceil_log2(cauchy_bound(poly))) + r)
+        fired = root_enum(poly, PrecisionParams(r=r, gamma=gamma)).candidates
+        for idx, p in enumerate(chain):
+            den = math.lcm(*(c.denominator for c in p.coeffs))
+            k = p.degree
+            horner = [int(c * den) << (r * (k - j)) for j, c in enumerate(p.coeffs)][::-1]
+            rhs = gamma.numerator * den << (r * k)
+            if fired and local.random() < 0.5:
+                target = math.floor(local.choice(fired) * (1 << r))
+            else:
+                target = local.randrange(-half, half)
+            ranges = [((-half, half), scaled.root_form(idx, half))]
+            while True:
+                for (c0, c1), form in ranges:
+                    assert form == _direct_form(horner, c0, c1)
+                    expected = _reference_certified_off(horner, rhs, gamma.denominator, c0, c1)
+                    assert scaled.certified_off(idx, c0, c1, form) is expected
+                    outcomes.add(expected)
+                    if c0 <= target < c1:
+                        m0, m1, walked = c0, c1, form
+                if m1 - m0 == 1:
+                    break
+                mid = (m0 + m1) // 2
+                ranges = zip(((m0, mid), (mid, m1)), rootenum._child_forms(walked, m1 - m0))
+    assert outcomes == {True, False}
 
 
 # --- output invariants ------------------------------------------------------
