@@ -164,6 +164,32 @@ def test_pruned_descent_equals_naive_scan_frozen():
 
 
 def test_pruned_descent_equals_naive_scan_random():
+    for _ in range(25):
+        deg = rng.randint(1, 3)
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(deg)]
+        coeffs.append(Fraction(rng.choice([-2, -1, 1, 2])))
+        poly = Polynomial(coeffs)
+        params = PrecisionParams(r=rng.choice([2, 3]), gamma=Fraction(1, 2**10))
+        assert root_enum(poly, params).candidates == naive_grid_scan(poly, params)
+
+
+def test_pruned_descent_equals_naive_scan_random_integer_sweep():
+    """Random integer degree <= 6 (roots mostly irrational, off the grid,
+    some outside [-1, 1], repeated factors allowed), 2 <= r <= 10, and gamma
+    at the floor's scale 2^(-d*r), at 2^-r and at the coarse 1/64."""
+    local = random.Random(0x1D1FF)
+    for i in range(14):
+        deg = 6 if i == 0 else local.randint(1, 6)
+        coeffs = [local.randint(-3, 3) for _ in range(deg)] + [local.choice([-2, -1, 1, 2])]
+        poly = Polynomial(coeffs)
+        r = 10 if i == 0 else local.randint(2, 10)
+        for gamma in (Fraction(1, 2 ** (deg * r)), Fraction(1, 2**r), Fraction(1, 64)):
+            params = PrecisionParams(r=r, gamma=gamma)
+            assert root_enum(poly, params).candidates == naive_grid_scan(poly, params), (
+                coeffs, r, gamma)
+
+
+def test_pruned_descent_equals_naive_scan_planted_sweep():
     """Planted degree <= 6 (roots on the 1/4 lattice of [-1, 1], multiplicity
     <= 3, optional quadratic factor), 2 <= r <= 10, and gamma at the
     certified floor, at 2^-r and at the coarse 1/64."""
