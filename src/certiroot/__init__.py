@@ -27,6 +27,7 @@ from .errors import (
     DivisionByZeroPolynomial,
     EndpointIsRoot,
     IdenticalPolynomials,
+    InvalidArgument,
     LengthMismatch,
     NoSignChange,
     ParseError,
@@ -74,6 +75,7 @@ __all__ = [
     "DivisionByZeroPolynomial",
     "EndpointIsRoot",
     "IdenticalPolynomials",
+    "InvalidArgument",
     "LengthMismatch",
     "NoSignChange",
     "ParseError",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ThresholdNonPositive
+from .errors import InvalidArgument, ThresholdNonPositive
 
 # An entry class is (sign, small): sign in {-1, 0, +1} is the exact sign of
 # the stored value, small means |value| < gamma (the sign is untrusted).
@@ -36,7 +36,7 @@ from .errors import ThresholdNonPositive
 def entry_classes(theta: Sequence, gamma) -> list[tuple[int, bool]]:
     """Classify each entry of theta as (exact sign, |entry| < gamma)."""
     if len(theta) == 0:
-        raise ValueError("empty evaluation vector")
+        raise InvalidArgument("empty evaluation vector")
     if gamma <= 0:
         raise ThresholdNonPositive(f"gamma must be > 0, got {gamma}")
     out = []

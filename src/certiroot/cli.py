@@ -18,9 +18,10 @@ supplies the rootless-factor constant. Without any of these and without
 the 6*d^2 length bound is then heuristic.
 
 Reports are deterministic (byte-identical for identical inputs): text is
-"key: value" lines, JSON carries a top-level "format": 1. Errors print a
-structured record and exit with status 1. The environment variable
-CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
+"key: value" lines, JSON carries a top-level "format": 1. Every handled
+failure is a CertirootError (a bad argument is InvalidArgument, also a
+ValueError) and prints a structured record with exit status 1. The
+environment variable CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import sys
 from fractions import Fraction
 
 from . import errbounds, rootenum, spectrum, sturm
-from .errors import CertirootError, ParseError, ThresholdNonPositive
+from .errors import CertirootError, DegreeTooLow, InvalidArgument, ParseError
 from .polyalg import Polynomial
 
 FORMAT_VERSION = 1
@@ -86,7 +87,7 @@ def load_poly_file(path: str) -> tuple[Polynomial, dict]:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also non-ASCII, long ints, nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "coeffs" not in data:
         raise ParseError(f'{path} must be a JSON object with a "coeffs" list')
@@ -105,7 +106,7 @@ def load_bits_file(path: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = "".join(fh.read().split())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: non-ASCII text
         raise ParseError(f"cannot read {path}: {exc}") from None
     if set(text) - {"0", "1"}:
         raise ParseError(f"{path} must contain only '0'/'1' bits")
@@ -116,12 +117,8 @@ def load_bits_file(path: str) -> str:
 
 def resolve_gamma(poly: Polynomial, data: dict, r: int, flag_value):
     """Returns (gamma, source, warnings). Order: flag > certified block > default."""
-    warnings: list[str] = []
     if flag_value is not None:
-        gamma = parse_fraction(flag_value, "--gamma")
-        if gamma <= 0:
-            raise ThresholdNonPositive(f"--gamma must be > 0, got {gamma}")
-        return gamma, "flag", warnings
+        return parse_fraction(flag_value, "--gamma"), "flag", []
     delta = None
     if "separation" in data:
         delta = parse_fraction(data["separation"], "separation")
@@ -136,15 +133,17 @@ def resolve_gamma(poly: Polynomial, data: dict, r: int, flag_value):
             delta = min(b - a for a, b in zip(values, values[1:]))
     if delta is not None:
         floor = parse_fraction(data.get("factor_floor", "1"), "factor_floor")
+    if r < 1:  # after the blocks parse (their errors come first), before r, d are used
+        raise InvalidArgument("precision r must be >= 1")
+    if poly.is_zero() or poly.degree < 1:
+        raise DegreeTooLow("root enumeration needs degree >= 1")
+    if delta is not None:
         ctx = errbounds.ApproxContext(r=r, d=poly.degree)
         gamma = errbounds.small_value_threshold(poly, delta, ctx, factor_floor=floor)
-        return gamma, "separation", warnings
-    gamma = Fraction(1, 2 ** (poly.degree * r))
-    warnings.append(
-        "gamma defaulted to 2^(-d*r); the 6*d^2 length bound is heuristic "
-        "without a certified root separation"
-    )
-    return gamma, "default", warnings
+        return gamma, "separation", []
+    warning = ("gamma defaulted to 2^(-d*r); the 6*d^2 length bound is heuristic "
+               "without a certified root separation")
+    return Fraction(1, 2 ** (poly.degree * r)), "default", [warning]
 
 
 # -- report rendering --------------------------------------------------------
@@ -284,11 +283,7 @@ def cmd_spectrum(args) -> dict:
         stages = tuple(int(h) for h in args.stages.split(","))
     except ValueError:
         raise ParseError(f"bad --stages: {args.stages!r}") from None
-    s = parse_fraction(args.s, "--s")
-    try:
-        sched = spectrum.StageSchedule(stages, s)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    sched = spectrum.StageSchedule(stages, parse_fraction(args.s, "--s"))
     y = spectrum.BitSource(load_bits_file(args.y_bits))
     coeff_sources = [spectrum.BitSource(load_bits_file(p)) for p in args.coeff_bits]
     bits = spectrum.interleave(y, coeff_sources, sched, args.length)

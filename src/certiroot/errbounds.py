@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import (
     DegreeMismatch,
     DegreeTooLow,
+    InvalidArgument,
     PreconditionViolated,
     SeparationTooSmall,
 )
@@ -37,7 +38,7 @@ class ApproxContext:
 
     def __post_init__(self):
         if self.r < 1 or self.d < 1:
-            raise ValueError("ApproxContext needs r >= 1 and d >= 1")
+            raise InvalidArgument("ApproxContext needs r >= 1 and d >= 1")
 
 
 def power_diff_bound(a, b, k: int, r: int) -> Fraction:
@@ -56,9 +57,9 @@ def power_diff_bound(a, b, k: int, r: int) -> Fraction:
     a = _as_fraction(a)
     b = _as_fraction(b)
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidArgument("k must be >= 1")
     if r < 1:
-        raise ValueError("r must be >= 1")
+        raise InvalidArgument("r must be >= 1")
     step = Fraction(1, 2**r)
     if abs(a - b) > step:
         raise PreconditionViolated(f"|a-b| = {abs(a - b)} exceeds 2^-{r}")
@@ -179,9 +180,9 @@ def small_value_threshold(
     delta_min = _as_fraction(delta_min)
     factor_floor = _as_fraction(factor_floor)
     if delta_min <= 0:
-        raise ValueError("delta_min must be > 0")
+        raise InvalidArgument("delta_min must be > 0")
     if factor_floor <= 0:
-        raise ValueError("factor_floor must be > 0")
+        raise InvalidArgument("factor_floor must be > 0")
     if p.is_zero() or p.degree < 1:
         raise DegreeTooLow("threshold needs degree >= 1")
     step = Fraction(1, 2**ctx.r)

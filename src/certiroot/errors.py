@@ -2,12 +2,18 @@
 
 Every failure mode that callers are expected to handle derives from
 :class:`CertirootError`, so the CLI (and library users) can catch one base
-class and map the concrete type to a structured error record.
+class and map the concrete type to a structured error record. A bad
+argument raises :class:`InvalidArgument`, also a ``ValueError``; only
+programming errors (a value that is not an exact rational, a bit index < 1) do not.
 """
 
 
 class CertirootError(Exception):
     """Base class for all certiroot errors."""
+
+
+class InvalidArgument(CertirootError, ValueError):
+    """An argument outside its documented domain (e.g. precision r < 1)."""
 
 
 # -- polynomial arithmetic ---------------------------------------------------

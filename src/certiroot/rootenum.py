@@ -43,6 +43,7 @@ from .errors import (
     DegreeTooLow,
     DegreeUnresolved,
     IdenticalPolynomials,
+    InvalidArgument,
     ThresholdNonPositive,
 )
 from .polyalg import Polynomial, _as_fraction
@@ -57,11 +58,11 @@ class PrecisionParams:
     gamma: Fraction
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("precision r must be >= 1")
         g = _as_fraction(self.gamma)
         if g <= 0:
             raise ThresholdNonPositive(f"gamma must be > 0, got {g}")
+        if self.r < 1:
+            raise InvalidArgument("precision r must be >= 1")
         object.__setattr__(self, "gamma", g)
 
 
@@ -87,7 +88,7 @@ def ceil_log2(x) -> int:
     """Smallest integer e with 2^e >= x, for rational x > 0."""
     x = _as_fraction(x)
     if x <= 0:
-        raise ValueError("ceil_log2 needs x > 0")
+        raise InvalidArgument("ceil_log2 needs x > 0")
     n, d = x.numerator, x.denominator
     e = n.bit_length() - d.bit_length() - 1
     while (1 << e) * d < n if e >= 0 else n * (1 << -e) > d:
@@ -143,7 +144,6 @@ class _ScaledChain:
     """
 
     def __init__(self, chain, r: int, gamma: Fraction):
-        self.r = r
         s = 1 << r
         g_num, g_den = gamma.numerator, gamma.denominator
         self.polys = []  # (horner coeffs high->low as ints, lim int)
@@ -153,7 +153,9 @@ class _ScaledChain:
             k = len(ints) - 1
             horner = [ints[k - j] * s**j for j in range(k + 1)]
             self.polys.append((horner, -(-g_num * dens * s**k // g_den)))
-        self._classify_cache: dict[int, tuple] = {}
+        # Leaves pop left to right, so the only grid point classified twice
+        # is the previous leaf's right end: keep just the latest result.
+        self._last = (None, ())
 
     def root_form(self, idx: int, half: int) -> tuple:
         """Centred form of chain[idx] over [-half, half]: c = 0, hw = half."""
@@ -162,9 +164,8 @@ class _ScaledChain:
 
     def classify(self, m: int) -> tuple:
         """Entry classes ((sign, small), ...) of the chain at grid point m/2^r."""
-        cached = self._classify_cache.get(m)
-        if cached is not None:
-            return cached
+        if m == self._last[0]:
+            return self._last[1]
         out = []
         for horner, lim in self.polys:
             v = horner[0]
@@ -172,9 +173,8 @@ class _ScaledChain:
                 v = v * m + h
             sign = 1 if v > 0 else (-1 if v < 0 else 0)
             out.append((sign, abs(v) < lim))
-        result = tuple(out)
-        self._classify_cache[m] = result
-        return result
+        self._last = (m, tuple(out))
+        return self._last[1]
 
     def certified_off(self, idx: int, m0: int, m1: int, form: tuple) -> bool:
         """True if |chain[idx]| >= gamma provably holds on [m0/2^r, m1/2^r].
@@ -208,26 +208,22 @@ class _ScaledChain:
 def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     """Enumerate dyadic candidates within 2^-r of every real root of c.
 
-    Raises DegreeTooLow below degree 1, ThresholdNonPositive for gamma <= 0,
-    and DegreeUnresolved when |leading| <= 2*gamma (an approximately-known
-    vector whose top coefficient cannot be trusted to be nonzero would make
-    the Euclidean divisions meaningless).
+    Raises DegreeTooLow below degree 1 and DegreeUnresolved when |leading|
+    <= 2*gamma (an approximately-known vector whose top coefficient cannot
+    be trusted to be nonzero would make the Euclidean divisions meaningless).
     """
     if c.is_zero() or c.degree < 1:
         raise DegreeTooLow("root enumeration needs degree >= 1")
-    gamma = _as_fraction(params.gamma)
-    if gamma <= 0:
-        raise ThresholdNonPositive(f"gamma must be > 0, got {gamma}")
-    if abs(c.leading) <= 2 * gamma:
+    if abs(c.leading) <= 2 * params.gamma:
         raise DegreeUnresolved(
-            f"|leading coefficient| = {abs(c.leading)} <= 2*gamma = {2 * gamma}"
+            f"|leading coefficient| = {abs(c.leading)} <= 2*gamma = {2 * params.gamma}"
         )
     r = params.r
     d = c.degree
     beta = cauchy_bound(c)
     e = max(0, ceil_log2(beta))
     chain = sturm_chain(c)
-    scaled = _ScaledChain(chain, r, gamma)
+    scaled = _ScaledChain(chain, r, params.gamma)
     half = 1 << (e + r)  # grid numerators run over [-half, half]
     candidates: list[Fraction] = []
     two_r1 = 1 << (r + 1)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LengthMismatch, ScheduleOverflow, SourceExhausted
+from .errors import InvalidArgument, LengthMismatch, ScheduleOverflow, SourceExhausted
 from .polyalg import _as_fraction
 
 
@@ -40,12 +40,12 @@ class BitSource:
     def __init__(self, bits):
         if isinstance(bits, str):
             if bits and set(bits) - {"0", "1"}:
-                raise ValueError("bit string may contain only '0' and '1'")
+                raise InvalidArgument("bit string may contain only '0' and '1'")
             self._bits = bits
         else:
             vals = list(bits)
             if any(b not in (0, 1) for b in vals):
-                raise ValueError("bits must be 0 or 1")
+                raise InvalidArgument("bits must be 0 or 1")
             self._bits = "".join(str(b) for b in vals)
         self.queried = 0
 
@@ -73,15 +73,15 @@ class StageSchedule:
     def __post_init__(self):
         stages = tuple(int(h) for h in self.stages)
         if not stages:
-            raise ValueError("schedule needs at least one stage")
+            raise InvalidArgument("schedule needs at least one stage")
         if stages[0] != 2:
-            raise ValueError("the first stage boundary must be 2")
+            raise InvalidArgument("the first stage boundary must be 2")
         for prev, nxt in zip(stages, stages[1:]):
             if nxt < 2**prev:
-                raise ValueError(f"stage boundary {nxt} < 2^{prev}")
+                raise InvalidArgument(f"stage boundary {nxt} < 2^{prev}")
         s = _as_fraction(self.s)
         if not 0 <= s <= 1:
-            raise ValueError("s must lie in [0, 1]")
+            raise InvalidArgument("s must lie in [0, 1]")
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "s", s)
 
@@ -102,7 +102,7 @@ def default_schedule(j_max: int, s=Fraction(1, 2), max_bits: int = 2**20) -> Sta
     2^65536 bits).
     """
     if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+        raise InvalidArgument("j_max must be >= 1")
     stages = [2]
     for _ in range(j_max - 1):
         nxt = 2 ** stages[-1]
@@ -139,7 +139,7 @@ def interleave(y: BitSource, coeff_bits, sched: StageSchedule, n: int) -> str:
     """
     d = len(coeff_bits)
     if d < 1:
-        raise ValueError("need at least one coefficient source")
+        raise InvalidArgument("need at least one coefficient source")
     if n < 0 or n > sched.total_length:
         raise LengthMismatch(f"n = {n} outside [0, {sched.total_length}]")
     out = []
@@ -168,12 +168,12 @@ def extract_blocks(x: str, sched: StageSchedule, d: int):
     LengthMismatch when x is longer than the schedule covers.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise InvalidArgument("d must be >= 1")
     n = len(x)
     if n > sched.total_length:
         raise LengthMismatch(f"{n} bits exceed the schedule's {sched.total_length}")
     if set(x) - {"0", "1"}:
-        raise ValueError("bit string may contain only '0' and '1'")
+        raise InvalidArgument("bit string may contain only '0' and '1'")
     y_fragments: list[tuple[int, str]] = []
     coeffs: list[list[str]] = [[] for _ in range(d)]
     current_start = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegreeTooLow, EndpointIsRoot
+from .errors import DegreeTooLow, EndpointIsRoot, InvalidArgument
 from .polyalg import Polynomial, euclid_rem, _as_fraction
 
 #: A Sturm chain is a plain tuple of Polynomial; an evaluation vector is a
@@ -68,7 +68,7 @@ def count_roots(p: Polynomial, a, b) -> int:
     a = _as_fraction(a)
     b = _as_fraction(b)
     if a >= b:
-        raise ValueError("count_roots needs a < b")
+        raise InvalidArgument("count_roots needs a < b")
     if p.eval(a) == 0 or p.eval(b) == 0:
         raise EndpointIsRoot(f"endpoint of ({a}, {b}) is a root")
     if p.degree == 0:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeOverflow, NoSignChange, TooLong
+from .errors import DegreeOverflow, InvalidArgument, NoSignChange, TooLong
 from .polyalg import Polynomial, _as_fraction
 
 
@@ -52,18 +52,18 @@ def plant(spec: PlantedSpec, max_degree: int = 64) -> PlantedPolynomial:
     """Expand a PlantedSpec exactly and attach its ground-truth metadata."""
     leading = _as_fraction(spec.leading)
     if leading == 0:
-        raise ValueError("leading factor must be nonzero")
+        raise InvalidArgument("leading factor must be nonzero")
     roots = [(_as_fraction(r), int(m)) for r, m in spec.real_roots]
     quads = [(_as_fraction(p), _as_fraction(q)) for p, q in spec.irreducible_quadratics]
     if any(m < 1 for _, m in roots):
-        raise ValueError("multiplicities must be >= 1")
+        raise InvalidArgument("multiplicities must be >= 1")
     if len({r for r, _ in roots}) != len(roots):
-        raise ValueError("planted real roots must be distinct")
+        raise InvalidArgument("planted real roots must be distinct")
     floor = abs(leading)
     for p, q in quads:
         disc_quarter = q - p * p / 4
         if disc_quarter <= 0:
-            raise ValueError(f"x^2 + {p}x + {q} has real roots")
+            raise InvalidArgument(f"x^2 + {p}x + {q} has real roots")
         floor *= disc_quarter
     degree = sum(m for _, m in roots) + 2 * len(quads)
     if degree > max_degree:
@@ -95,9 +95,9 @@ def sign_extremes(theta, gamma) -> tuple[int, int]:
     if n > 20:
         raise TooLong(f"{n} entries: enumeration is 2^k, cap is 20")
     if n == 0:
-        raise ValueError("empty vector")
+        raise InvalidArgument("empty vector")
     if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+        raise InvalidArgument("gamma must be > 0")
     fixed = []
     free_slots = []
     for i, v in enumerate(theta):

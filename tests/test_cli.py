@@ -4,11 +4,24 @@ structured errors, and the JSON round-trip back into result objects."""
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from certiroot import PrecisionParams, Polynomial, RootCandidateList, root_enum
+import certiroot
+from certiroot import (
+    CertirootError,
+    InvalidArgument,
+    PrecisionParams,
+    Polynomial,
+    RootCandidateList,
+    root_enum,
+)
 from certiroot.cli import main
 
 
@@ -341,6 +354,163 @@ def test_malformed_roots_block(capsys, poly_file):
     code, out = run(capsys, ["roots", "--poly", path, "--precision", "4"])
     assert code == 1
     assert out.startswith("error: ParseError")
+
+
+# --- every bad argument ends in an error record -----------------------------
+
+
+def test_invalid_argument_is_both_kinds():
+    assert issubclass(InvalidArgument, CertirootError)
+    assert issubclass(InvalidArgument, ValueError)
+
+
+X2 = {"coeffs": ["-2", "0", "1"]}
+
+# (expected error type, input files, argv with {name} standing for a file's
+# path, a word the message must contain). Each of these used to end in a
+# traceback instead of an error record.
+BAD_ARGUMENTS = {
+    "roots-precision-0": (
+        "InvalidArgument", {"p": X2M2}, ["roots", "--poly", "{p}", "--precision", "0"],
+        "precision"),
+    "roots-precision-negative": (
+        "InvalidArgument", {"p": X2M2}, ["roots", "--poly", "{p}", "--precision", "-3"],
+        "precision"),
+    "intersect-precision-0": (
+        "InvalidArgument", {"a": X2M2, "b": {"coeffs": ["0", "1"]}},
+        ["intersect", "--a", "{a}", "--b", "{b}", "--precision", "0"], "precision"),
+    "bounds-precision-0": (
+        "InvalidArgument", {"p": X2},
+        ["bounds", "--poly", "{p}", "--point", "1", "--precision", "0"], "r >= 1"),
+    "separation-0": (
+        "InvalidArgument", {"p": {**X2, "separation": "0"}},
+        ["roots", "--poly", "{p}", "--precision", "4"], "delta_min"),
+    "factor-floor-0": (
+        "InvalidArgument", {"p": {**X2, "separation": "1", "factor_floor": "0"}},
+        ["roots", "--poly", "{p}", "--precision", "4"], "factor_floor"),
+    "non-ascii-poly": (
+        "ParseError", {"p": '{"coeffs": ["1", "\u00e9"]}'.encode()},
+        ["roots", "--poly", "{p}", "--precision", "4"], "ascii"),
+    "over-long-int-literal": (
+        "ParseError", {"p": '{"coeffs": [' + "7" * 5000 + ", 1]}"},
+        ["roots", "--poly", "{p}", "--precision", "4"], "4300"),
+    "deeply-nested-json": (
+        "ParseError", {"p": '{"coeffs": ' + "[" * 100_000 + "]" * 100_000 + "}"},
+        ["roots", "--poly", "{p}", "--precision", "4"], "recursion"),
+    "non-ascii-bits": (
+        "ParseError", {"y": "01\u00e9".encode(), "a": "0101"},
+        ["spectrum", "--y-bits", "{y}", "--coeff-bits", "{a}", "--stages", "2,4",
+         "--length", "4"], "ascii"),
+    "zero-poly-with-separation": (
+        "DegreeTooLow", {"p": {"coeffs": ["0"], "separation": "1"}},
+        ["roots", "--poly", "{p}", "--precision", "4"], "degree"),
+    "zero-poly": (
+        "DegreeTooLow", {"p": {"coeffs": ["0"]}},
+        ["roots", "--poly", "{p}", "--precision", "4"], "degree"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_argument_is_an_error_record(capsys, tmp_path, case):
+    expected, files, argv, word = BAD_ARGUMENTS[case]
+    paths = {}
+    for name, content in files.items():
+        path = paths[name] = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code, out = run(capsys, [a.format(**paths) for a in argv] + ["--format", "json"])
+    assert code == 1
+    record = json.loads(out)
+    assert record["format"] == 1
+    assert record["error"]["type"] == expected
+    assert word in record["error"]["message"]
+
+
+# --- property: every input ends in a report or an error record --------------
+
+
+def _rational(nums, dens=st.integers(1, 9)):
+    return st.builds(lambda n, d: f"{n}/{d}", nums, dens)
+
+
+# Values that a field holding a positive exact rational must reject.
+_BAD = st.sampled_from([0.5, "abc", "1/0", None, [1], "", "0", "-1/2"])
+
+
+def _mostly(good):
+    return st.one_of(*[good] * 9, _BAD)
+
+
+_POSITIVE = _rational(st.integers(1, 4))
+
+
+def _poly_body(draw, den, degrees):
+    """A JSON body of degree in `degrees`, with optional gamma blocks.
+
+    Coefficients are n/den with |n| <= 100 and a leading |n| >= 50, so the
+    Cauchy bound stays small (also for a difference with a lower-degree
+    body over the same den) and a coarse gamma cannot make the sweep long.
+    """
+    degree = draw(st.sampled_from(degrees))
+    nums = draw(st.lists(st.integers(-100, 100), min_size=degree + 1, max_size=degree + 1))
+    if degree:
+        nums[-1] = draw(st.integers(50, 100)) * draw(st.sampled_from([1, -1]))
+    body = {"coeffs": [f"{n}/{den}" for n in nums]}
+    if draw(st.integers(0, 9)) == 7:  # one in ten; hypothesis favours a range's ends
+        body["coeffs"][draw(st.integers(0, degree))] = draw(_BAD)
+    if draw(st.booleans()):
+        body["separation"] = draw(_mostly(_POSITIVE))
+    if draw(st.booleans()):
+        root = _rational(st.integers(-8, 8), st.sampled_from([1, 2, 4]))
+        pairs = st.lists(st.tuples(root, st.integers(1, 3)).map(list), max_size=4)
+        body["roots"] = draw(_mostly(pairs))
+    if draw(st.booleans()):
+        body["factor_floor"] = draw(_mostly(_POSITIVE))
+    return body
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv with {a}/{b} standing for the body files, body a, body b)."""
+    command = draw(st.sampled_from(["roots", "intersect", "bounds", "sturm"]))
+    den = draw(st.sampled_from([1, 3, 8, 100]))
+    a = _poly_body(draw, den, range(6))
+    b = _poly_body(draw, den, range(max(1, len(a["coeffs"]) - 1)))
+    argv = [command, "--format", "json"]
+    argv += ["--a", "{a}", "--b", "{b}"] if command == "intersect" else ["--poly", "{a}"]
+    if command != "sturm":
+        argv.append(f"--precision={draw(st.integers(1, 8) | st.integers(-3, 8))}")  # mostly valid
+    gamma = draw(st.sampled_from([None] * 4 + ["1/1024", "1/64", "0", "-1/2", "1/0", "abc"]))
+    if command in ("roots", "intersect") and gamma is not None:
+        argv.append(f"--gamma={gamma}")  # "--gamma -1/2" would be a usage error
+    if command == "bounds":
+        argv.append(f"--point={draw(_mostly(_rational(st.integers(-4, 4))))}")
+    if command == "sturm" and draw(st.booleans()):
+        # Endpoints such as -1/2 would be taken for options by argparse.
+        ends = st.integers(-3, 3).map(str) | _rational(st.integers(0, 4))
+        argv += ["--interval", draw(ends), draw(ends)]
+    return argv, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_inputs())
+def test_every_cli_input_ends_in_a_report_or_an_error_record(case):
+    argv, body_a, body_b = case
+    out = StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"a": Path(tmp) / "a.json", "b": Path(tmp) / "b.json"}
+        paths["a"].write_text(json.dumps(body_a))
+        paths["b"].write_text(json.dumps(body_b))
+        with redirect_stdout(out):
+            code = main([arg.format(**paths) for arg in argv])
+    assert code in (0, 1)
+    record = json.loads(out.getvalue())
+    assert record["format"] == 1
+    assert ("error" in record) == (code == 1)
+    if code == 1:
+        assert record["error"]["type"] in certiroot.__all__
 
 
 # --- module entry point -----------------------------------------------------
