@@ -17,11 +17,12 @@ supplies the rootless-factor constant. Without any of these and without
 --gamma, gamma defaults to 2^(-d*r) and the report carries a warning that
 the 6*d^2 length bound is then heuristic.
 
-Reports are deterministic (byte-identical for identical inputs): text is
-"key: value" lines, JSON carries a top-level "format": 1. Every handled
-failure is a CertirootError (a bad argument is InvalidArgument, also a
-ValueError) and prints a structured record with exit status 1. The
-environment variable CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
+Reports are deterministic (byte-identical for identical inputs). `main` puts
+each report and each error record in one envelope, "format": 1, and `emit`
+renders it: "key: value" lines (an error: "error: Type: message") or one JSON
+object. A CertirootError (a bad argument is InvalidArgument, also a ValueError)
+exits 1; its message echoes a bad value shortened. Negative rationals such as
+-1/2 are flag values. CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -56,17 +59,17 @@ def dyadic_str(q: Fraction) -> str | None:
 
 
 def parse_fraction(text: str, what: str) -> Fraction:
+    """`text` as a Fraction; a bad one's message echoes it shortened, as '123...789'."""
     if isinstance(text, float):
-        raise ParseError(
-            f"bad rational for {what}: {text!r} (floats lose exactness; "
-            'write the value as a string like "1/2")'
-        )
-    if not isinstance(text, (str, int)):
-        raise ParseError(f"bad rational for {what}: {text!r}")
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational for {what}: {text!r} ({exc})") from None
+        reason = ' (floats lose exactness; write the value as a string like "1/2")'
+    elif not isinstance(text, (str, int)):
+        reason = ""
+    else:
+        try:
+            return Fraction(str(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            reason = f" ({exc})".replace(repr(text), reprlib.repr(text))
+    raise ParseError(f"bad rational for {what}: {reprlib.repr(text)}{reason}")
 
 
 # -- input files -------------------------------------------------------------
@@ -153,9 +156,9 @@ def emit(report: dict, fmt: str) -> None:
         print(json.dumps(report, sort_keys=True, separators=(", ", ": ")))
         return
     for key, value in report.items():
-        if key == "format":
-            continue
-        if key == "candidates":
+        if key == "error":
+            print(f"error: {value['type']}: {value['message']}")
+        elif key == "candidates":
             print(f"candidates: {len(value)}")
             for cand in value:
                 print(f"candidate: {cand['value']} {cand['dyadic']}")
@@ -168,12 +171,18 @@ def emit(report: dict, fmt: str) -> None:
         elif key == "warnings":
             for w in value:
                 print(f"warning: {w}")
-        else:
+        elif key != "format":
             print(f"{key}: {value}")
 
 
-def candidate_report(result: rootenum.RootCandidateList) -> dict:
+def candidate_report(result: rootenum.RootCandidateList, r: int, resolved: tuple) -> dict:
+    """The fields `roots` and `intersect` share; `resolved` is resolve_gamma's triple."""
+    gamma, source, warnings = resolved
     return {
+        "precision": r,
+        "gamma": None if gamma is None else frac_str(gamma),
+        "gamma_source": source,
+        "warnings": warnings,
         "beta": None if result.beta is None else frac_str(result.beta),
         "grid_bound": result.grid_bound,
         "r_prime": result.r_prime,
@@ -186,49 +195,28 @@ def candidate_report(result: rootenum.RootCandidateList) -> dict:
     }
 
 
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each returns its own fields; main adds the envelope --------
 
 def cmd_roots(args) -> dict:
     poly, data = load_poly_file(args.poly)
-    gamma, source, warnings = resolve_gamma(poly, data, args.precision, args.gamma)
-    params = rootenum.PrecisionParams(r=args.precision, gamma=gamma)
-    result = rootenum.root_enum(poly, params)
-    report = {
-        "format": FORMAT_VERSION,
-        "command": "roots",
-        "degree": poly.degree,
-        "precision": args.precision,
-        "gamma": frac_str(gamma),
-        "gamma_source": source,
-        "warnings": warnings,
-    }
-    report.update(candidate_report(result))
-    return report
+    resolved = resolve_gamma(poly, data, args.precision, args.gamma)
+    result = rootenum.root_enum(poly, rootenum.PrecisionParams(args.precision, resolved[0]))
+    return {"degree": poly.degree, **candidate_report(result, args.precision, resolved)}
 
 
 def cmd_intersect(args) -> dict:
     pa, data_a = load_poly_file(args.a)
     pb, _ = load_poly_file(args.b)
     diff = pa - pb
-    if diff.is_zero() or diff.degree == 0:
-        gamma, source, warnings = None, None, []
-    else:
-        gamma, source, warnings = resolve_gamma(diff, data_a, args.precision, args.gamma)
-    params = rootenum.PrecisionParams(
-        r=args.precision, gamma=gamma if gamma is not None else Fraction(1)
-    )
-    result = rootenum.intersect(pa, pb, params)
-    report = {
-        "format": FORMAT_VERSION,
-        "command": "intersect",
+    resolved, gamma = (None, None, []), Fraction(1)  # a constant difference has no gamma
+    if not (diff.is_zero() or diff.degree == 0):
+        resolved = resolve_gamma(diff, data_a, args.precision, args.gamma)
+        gamma = resolved[0]
+    result = rootenum.intersect(pa, pb, rootenum.PrecisionParams(args.precision, gamma))
+    return {
         "difference_degree": diff.degree,
-        "precision": args.precision,
-        "gamma": None if gamma is None else frac_str(gamma),
-        "gamma_source": source,
-        "warnings": warnings,
+        **candidate_report(result, args.precision, resolved),
     }
-    report.update(candidate_report(result))
-    return report
 
 
 def cmd_sturm(args) -> dict:
@@ -250,8 +238,6 @@ def cmd_sturm(args) -> dict:
             {"a": frac_str(a), "b": frac_str(b), "count": sturm.count_roots(poly, a, b)}
         )
     return {
-        "format": FORMAT_VERSION,
-        "command": "sturm",
         "degree": poly.degree,
         "beta": frac_str(beta),
         "chain_length": len(chain),
@@ -266,8 +252,6 @@ def cmd_bounds(args) -> dict:
     r = args.precision
     ctx = errbounds.ApproxContext(r=r, d=max(poly.degree or 0, 1))
     return {
-        "format": FORMAT_VERSION,
-        "command": "bounds",
         "degree": poly.degree,
         "point": frac_str(x),
         "precision": r,
@@ -288,8 +272,6 @@ def cmd_spectrum(args) -> dict:
     coeff_sources = [spectrum.BitSource(load_bits_file(p)) for p in args.coeff_bits]
     bits = spectrum.interleave(y, coeff_sources, sched, args.length)
     return {
-        "format": FORMAT_VERSION,
-        "command": "spectrum",
         "stages": ",".join(str(h) for h in sched.stages),
         "s": frac_str(sched.s),
         "d": len(coeff_sources),
@@ -300,72 +282,62 @@ def cmd_spectrum(args) -> dict:
 
 # -- entry point -------------------------------------------------------------
 
+# Every flag, declared once; a subcommand lists the flags it takes, in order.
+FLAGS = {
+    "--poly": {"required": True},
+    "--a": {"required": True},
+    "--b": {"required": True},
+    "--precision": {"type": int, "required": True},
+    "--gamma": {},
+    "--interval": {"nargs": 2, "action": "append", "metavar": ("A", "B")},
+    "--point": {"required": True},
+    "--y-bits": {"required": True},
+    "--coeff-bits": {"action": "append", "required": True,
+                     "help": "one file per coefficient source a_1..a_d, in order"},
+    "--stages": {"required": True, "help": "comma-separated boundaries, e.g. 2,4,16"},
+    "--s": {"default": "1/2"},
+    "--length": {"type": int, "required": True},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
+
+COMMANDS = (
+    ("roots", cmd_roots, "enumerate dyadic root candidates", "--poly --precision --gamma"),
+    ("intersect", cmd_intersect, "candidates for A(x) = B(x)", "--a --b --precision --gamma"),
+    ("sturm", cmd_sturm, "Sturm chain and interval root counts", "--poly --interval"),
+    ("bounds", cmd_bounds, "error-bound toolkit values", "--poly --point --precision"),
+    ("spectrum", cmd_spectrum, "interleave bit sources per a schedule",
+     "--y-bits --coeff-bits --stages --s --length"),
+)
+
+# argparse takes "-1/2" for an option; like "-3" and "-.5", it is a value here.
+NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="certiroot",
         description="certified real-root enumeration for exact-rational polynomials",
     )
+    parser._negative_number_matcher = NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_fmt(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("roots", help="enumerate dyadic root candidates")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--precision", type=int, required=True)
-    p.add_argument("--gamma")
-    add_fmt(p)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("intersect", help="candidates for A(x) = B(x)")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--precision", type=int, required=True)
-    p.add_argument("--gamma")
-    add_fmt(p)
-    p.set_defaults(func=cmd_intersect)
-
-    p = sub.add_parser("sturm", help="Sturm chain and interval root counts")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--interval", nargs=2, action="append", metavar=("A", "B"))
-    add_fmt(p)
-    p.set_defaults(func=cmd_sturm)
-
-    p = sub.add_parser("bounds", help="error-bound toolkit values")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--precision", type=int, required=True)
-    add_fmt(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("spectrum", help="interleave bit sources per a schedule")
-    p.add_argument("--y-bits", required=True)
-    p.add_argument("--coeff-bits", action="append", required=True,
-                   help="one file per coefficient source a_1..a_d, in order")
-    p.add_argument("--stages", required=True, help="comma-separated boundaries, e.g. 2,4,16")
-    p.add_argument("--s", default="1/2")
-    p.add_argument("--length", type=int, required=True)
-    add_fmt(p)
-    p.set_defaults(func=cmd_spectrum)
+    for name, func, help_text, flags in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = NEGATIVE_NUMBER
+        for flag in flags.split() + ["--format"]:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        report = {"format": FORMAT_VERSION, "command": args.command, **args.func(args)}
     except CertirootError as exc:
-        record = {
-            "format": FORMAT_VERSION,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        if args.format == "json":
-            print(json.dumps(record, sort_keys=True, separators=(", ", ": ")))
-        else:
-            print(f"error: {type(exc).__name__}: {exc}")
-        return 1
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        report = {"format": FORMAT_VERSION, "error": error}
     emit(report, args.format)
-    return 0
+    return 1 if "error" in report else 0
 
 
 if __name__ == "__main__":

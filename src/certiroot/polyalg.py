@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DivisionByZeroPolynomial
+from .errors import DivisionByZeroPolynomial, InvalidArgument
 
 Rat = Union[Fraction, int]
 
@@ -26,7 +26,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidArgument(f"not an exact rational: {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

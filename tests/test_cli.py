@@ -220,11 +220,14 @@ def test_sturm_counts(capsys, poly_file):
     path = poly_file("p.json", {"coeffs": ["-2", "0", "1"]})
     code, out = run(
         capsys,
-        ["sturm", "--poly", path, "--interval", "-3", "3", "--interval", "0", "2"],
+        ["sturm", "--poly", path, "--interval", "-3", "3", "--interval", "0", "2",
+         "--interval", "-1/2", "1/2", "--interval", "-3/2", "3/2"],
     )
     assert code == 0
     assert "interval: -3/1 3/1 count 2" in out
     assert "interval: 0/1 2/1 count 1" in out
+    assert "interval: -1/2 1/2 count 0" in out
+    assert "interval: -3/2 3/2 count 2" in out
     assert "chain_length: 3" in out
 
 
@@ -368,7 +371,7 @@ X2 = {"coeffs": ["-2", "0", "1"]}
 
 # (expected error type, input files, argv with {name} standing for a file's
 # path, a word the message must contain). Each of these used to end in a
-# traceback instead of an error record.
+# traceback, a usage error or an uncapped echo instead of an error record.
 BAD_ARGUMENTS = {
     "roots-precision-0": (
         "InvalidArgument", {"p": X2M2}, ["roots", "--poly", "{p}", "--precision", "0"],
@@ -407,6 +410,12 @@ BAD_ARGUMENTS = {
     "zero-poly": (
         "DegreeTooLow", {"p": {"coeffs": ["0"]}},
         ["roots", "--poly", "{p}", "--precision", "4"], "degree"),
+    "negative-rational-gamma": (
+        "ThresholdNonPositive", {"p": X2M2},
+        ["roots", "--poly", "{p}", "--precision", "4", "--gamma", "-1/2"], "-1/2"),
+    "over-long-coefficient-string": (
+        "ParseError", {"p": {"coeffs": ["1", "7" * 5000]}},
+        ["roots", "--poly", "{p}", "--precision", "4"], "coeffs[1]"),
 }
 
 
@@ -422,10 +431,94 @@ def test_bad_argument_is_an_error_record(capsys, tmp_path, case):
             path.write_text(content if isinstance(content, str) else json.dumps(content))
     code, out = run(capsys, [a.format(**paths) for a in argv] + ["--format", "json"])
     assert code == 1
+    assert len(out) < 1000
     record = json.loads(out)
     assert record["format"] == 1
     assert record["error"]["type"] == expected
     assert word in record["error"]["message"]
+
+
+# --- golden output: every rendered byte, per subcommand and format ----------
+
+
+GOLDEN_FILES = {
+    "p": json.dumps(X2M2),
+    "a": json.dumps({"coeffs": ["0", "0", "1"]}),
+    "b": json.dumps({"coeffs": ["-1", "1", "1"]}),
+    "y": "1111\n",
+    "a1": "00\n",
+    "a2": "01\n",
+}
+
+# argv with {name} standing for a GOLDEN_FILES path -> (exit code, text
+# stdout, json stdout).
+GOLDEN = {
+    "roots": (
+        ["roots", "--poly", "{p}", "--precision", "4"], 0,
+        "command: roots\ndegree: 2\nprecision: 4\ngamma: 1/256\n"
+        "gamma_source: separation\nbeta: 3/1\ngrid_bound: 4\nr_prime: 7\n"
+        "interval_width: 1/16\nlength_bound: 24\ncells_fired: 2\ncandidates: 2\n"
+        "candidate: -45/32 -45/2^5\ncandidate: 45/32 45/2^5\n",
+        '{"beta": "3/1", "candidates": [{"dyadic": "-45/2^5", "value": "-45/32"}, '
+        '{"dyadic": "45/2^5", "value": "45/32"}], "cells_fired": 2, "command": "roots", '
+        '"degree": 2, "format": 1, "gamma": "1/256", "gamma_source": "separation", '
+        '"grid_bound": 4, "interval_width": "1/16", "length_bound": 24, "precision": 4, '
+        '"r_prime": 7, "warnings": []}\n'),
+    "intersect": (
+        ["intersect", "--a", "{a}", "--b", "{b}", "--precision", "3"], 0,
+        "command: intersect\ndifference_degree: 1\nprecision: 3\ngamma: 1/8\n"
+        "gamma_source: default\nwarning: gamma defaulted to 2^(-d*r); the 6*d^2 "
+        "length bound is heuristic without a certified root separation\nbeta: 2/1\n"
+        "grid_bound: 2\nr_prime: 5\ninterval_width: 1/8\nlength_bound: 6\n"
+        "cells_fired: 2\ncandidates: 2\ncandidate: 15/16 15/2^4\ncandidate: 17/16 17/2^4\n",
+        '{"beta": "2/1", "candidates": [{"dyadic": "15/2^4", "value": "15/16"}, '
+        '{"dyadic": "17/2^4", "value": "17/16"}], "cells_fired": 2, '
+        '"command": "intersect", "difference_degree": 1, "format": 1, "gamma": "1/8", '
+        '"gamma_source": "default", "grid_bound": 2, "interval_width": "1/8", '
+        '"length_bound": 6, "precision": 3, "r_prime": 5, "warnings": ["gamma defaulted '
+        'to 2^(-d*r); the 6*d^2 length bound is heuristic without a certified root '
+        'separation"]}\n'),
+    "sturm": (
+        ["sturm", "--poly", "{p}", "--interval", "-3", "3", "--interval", "0", "2"], 0,
+        "command: sturm\ndegree: 2\nbeta: 3/1\nchain_length: 3\nchain: -2/1 0/1 1/1\n"
+        "chain: 0/1 2/1\nchain: 2/1\ninterval: -3/1 3/1 count 2\n"
+        "interval: 0/1 2/1 count 1\n",
+        '{"beta": "3/1", "chain": [["-2/1", "0/1", "1/1"], ["0/1", "2/1"], ["2/1"]], '
+        '"chain_length": 3, "command": "sturm", "degree": 2, "format": 1, "intervals": '
+        '[{"a": "-3/1", "b": "3/1", "count": 2}, {"a": "0/1", "b": "2/1", "count": 1}]}\n'),
+    "bounds": (
+        ["bounds", "--poly", "{p}", "--point", "1", "--precision", "8"], 0,
+        "command: bounds\ndegree: 2\npoint: 1/1\nprecision: 8\nlipschitz_constant: 2/1\n"
+        "cauchy_bound: 3/1\neval_tolerance: 990735/16777216\nperturbation_bound: 1/8192\n",
+        '{"cauchy_bound": "3/1", "command": "bounds", "degree": 2, "eval_tolerance": '
+        '"990735/16777216", "format": 1, "lipschitz_constant": "2/1", '
+        '"perturbation_bound": "1/8192", "point": "1/1", "precision": 8}\n'),
+    "spectrum": (
+        ["spectrum", "--y-bits", "{y}", "--coeff-bits", "{a1}", "--coeff-bits",
+         "{a2}", "--stages", "2,4", "--s", "1/2", "--length", "4"], 0,
+        "command: spectrum\nstages: 2,4\ns: 1/2\nd: 2\nlength: 4\nbits: 1000\n",
+        '{"bits": "1000", "command": "spectrum", "d": 2, "format": 1, "length": 4, '
+        '"s": "1/2", "stages": "2,4"}\n'),
+    "error": (
+        ["roots", "--poly", "{p}", "--precision", "4", "--gamma", "0"], 1,
+        "error: ThresholdNonPositive: gamma must be > 0, got 0\n",
+        '{"error": {"message": "gamma must be > 0, got 0", "type": "ThresholdNonPositive"}, '
+        '"format": 1}\n'),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", GOLDEN)
+def test_golden_output(capsys, tmp_path, case, fmt):
+    argv, expected_code, text, as_json = GOLDEN[case]
+    paths = {}
+    for name, content in GOLDEN_FILES.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(content)
+    argv = [arg.format(**paths) for arg in argv] + ["--format", fmt]
+    code, out = run(capsys, argv)
+    assert code == expected_code
+    assert out == (text if fmt == "text" else as_json)
 
 
 # --- property: every input ends in a report or an error record --------------
@@ -484,12 +577,11 @@ def cli_inputs(draw):
         argv.append(f"--precision={draw(st.integers(1, 8) | st.integers(-3, 8))}")  # mostly valid
     gamma = draw(st.sampled_from([None] * 4 + ["1/1024", "1/64", "0", "-1/2", "1/0", "abc"]))
     if command in ("roots", "intersect") and gamma is not None:
-        argv.append(f"--gamma={gamma}")  # "--gamma -1/2" would be a usage error
+        argv += draw(st.sampled_from([[f"--gamma={gamma}"], ["--gamma", gamma]]))
     if command == "bounds":
         argv.append(f"--point={draw(_mostly(_rational(st.integers(-4, 4))))}")
     if command == "sturm" and draw(st.booleans()):
-        # Endpoints such as -1/2 would be taken for options by argparse.
-        ends = st.integers(-3, 3).map(str) | _rational(st.integers(0, 4))
+        ends = st.integers(-3, 3).map(str) | _rational(st.integers(-4, 4))
         argv += ["--interval", draw(ends), draw(ends)]
     return argv, a, b
 

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from certiroot import DivisionByZeroPolynomial, Polynomial, euclid_rem, poly_divmod
+from certiroot import (
+    DivisionByZeroPolynomial,
+    InvalidArgument,
+    Polynomial,
+    PrecisionParams,
+    euclid_rem,
+    poly_divmod,
+)
 
 rng = random.Random(0xC0FFEE)
 
@@ -61,6 +68,21 @@ def test_degree_and_leading():
 def test_rejects_junk_coefficients():
     with pytest.raises(TypeError):
         Polynomial([0.5, 1])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda v: Polynomial([v, 1]), lambda v: PrecisionParams(r=4, gamma=v)],
+    ids=["Polynomial", "PrecisionParams"],
+)
+@pytest.mark.parametrize(
+    "value", ["abc", "1/0", "", "7" * 5000], ids=["abc", "1/0", "empty", "5000-digits"]
+)
+def test_bad_rational_string_is_invalid_argument(make, value):
+    with pytest.raises(InvalidArgument, match="not an exact rational"):
+        make(value)
+    with pytest.raises(TypeError):  # a value that is not a rational type at all
+        make(0.5)
 
 
 def test_empty_coefficients_mean_zero():
