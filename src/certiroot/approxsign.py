@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InvalidArgument, ThresholdNonPositive
+from .errors import InvalidArgument, ThresholdNonPositive, echo
 
 # An entry class is (sign, small): sign in {-1, 0, +1} is the exact sign of
 # the stored value, small means |value| < gamma (the sign is untrusted).
@@ -38,7 +38,7 @@ def entry_classes(theta: Sequence, gamma) -> list[tuple[int, bool]]:
     if len(theta) == 0:
         raise InvalidArgument("empty evaluation vector")
     if gamma <= 0:
-        raise ThresholdNonPositive(f"gamma must be > 0, got {gamma}")
+        raise ThresholdNonPositive(f"gamma must be > 0, got {echo(gamma)}")
     out = []
     for v in theta:
         sign = 1 if v > 0 else (-1 if v < 0 else 0)

@@ -21,8 +21,11 @@ Reports are deterministic (byte-identical for identical inputs). `main` puts
 each report and each error record in one envelope, "format": 1, and `emit`
 renders it: "key: value" lines (an error: "error: Type: message") or one JSON
 object. A CertirootError (a bad argument is InvalidArgument, also a ValueError)
-exits 1; its message echoes a bad value shortened. Negative rationals such as
+exits 1; its message echoes a bad value shortened (errors.echo), and a value
+past the int-to-str digit limit is a ParseError. Negative rationals such as
 -1/2 are flag values. CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
+Modules a subcommand alone needs (errbounds, spectrum) are imported where used,
+so a `roots` run without a separation block does not load them.
 """
 
 from __future__ import annotations
@@ -31,12 +34,11 @@ import argparse
 import json
 import os
 import re
-import reprlib
 import sys
 from fractions import Fraction
 
-from . import errbounds, rootenum, spectrum, sturm
-from .errors import CertirootError, DegreeTooLow, InvalidArgument, ParseError
+from . import rootenum, sturm
+from .errors import CertirootError, DegreeTooLow, InvalidArgument, ParseError, echo
 from .polyalg import Polynomial
 
 FORMAT_VERSION = 1
@@ -47,7 +49,11 @@ DEFAULT_MAX_DEGREE = 64
 
 def frac_str(q) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # a part past sys.get_int_max_str_digits()
+        raise ParseError(f"cannot print {echo(q)}: over "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def dyadic_str(q: Fraction) -> str | None:
@@ -68,8 +74,8 @@ def parse_fraction(text: str, what: str) -> Fraction:
         try:
             return Fraction(str(text))
         except (ValueError, ZeroDivisionError) as exc:
-            reason = f" ({exc})".replace(repr(text), reprlib.repr(text))
-    raise ParseError(f"bad rational for {what}: {reprlib.repr(text)}{reason}")
+            reason = f" ({exc})".replace(repr(text), echo(text))
+    raise ParseError(f"bad rational for {what}: {echo(text)}{reason}")
 
 
 # -- input files -------------------------------------------------------------
@@ -81,7 +87,7 @@ def max_degree_limit() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"CERTIROOT_MAX_DEGREE is not an integer: {raw!r}") from None
+        raise ParseError(f"CERTIROOT_MAX_DEGREE is not an integer: {echo(raw)}") from None
 
 
 def load_poly_file(path: str) -> tuple[Polynomial, dict]:
@@ -141,6 +147,8 @@ def resolve_gamma(poly: Polynomial, data: dict, r: int, flag_value):
     if poly.is_zero() or poly.degree < 1:
         raise DegreeTooLow("root enumeration needs degree >= 1")
     if delta is not None:
+        from . import errbounds
+
         ctx = errbounds.ApproxContext(r=r, d=poly.degree)
         gamma = errbounds.small_value_threshold(poly, delta, ctx, factor_floor=floor)
         return gamma, "separation", []
@@ -233,9 +241,9 @@ def cmd_sturm(args) -> dict:
     rows = []
     for a, b in intervals:
         if a >= b:
-            raise ParseError(f"--interval needs A < B, got {a} {b}")
+            raise ParseError(f"--interval needs A < B, got {echo(a)} {echo(b)}")
         rows.append(
-            {"a": frac_str(a), "b": frac_str(b), "count": sturm.count_roots(poly, a, b)}
+            {"a": frac_str(a), "b": frac_str(b), "count": sturm._count_in(chain, a, b)}
         )
     return {
         "degree": poly.degree,
@@ -247,6 +255,8 @@ def cmd_sturm(args) -> dict:
 
 
 def cmd_bounds(args) -> dict:
+    from . import errbounds
+
     poly, _ = load_poly_file(args.poly)
     x = parse_fraction(args.point, "--point")
     r = args.precision
@@ -263,10 +273,12 @@ def cmd_bounds(args) -> dict:
 
 
 def cmd_spectrum(args) -> dict:
+    from . import spectrum
+
     try:
         stages = tuple(int(h) for h in args.stages.split(","))
     except ValueError:
-        raise ParseError(f"bad --stages: {args.stages!r}") from None
+        raise ParseError(f"bad --stages: {echo(args.stages)}") from None
     sched = spectrum.StageSchedule(stages, parse_fraction(args.s, "--s"))
     y = spectrum.BitSource(load_bits_file(args.y_bits))
     coeff_sources = [spectrum.BitSource(load_bits_file(p)) for p in args.coeff_bits]

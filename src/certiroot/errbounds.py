@@ -16,8 +16,8 @@ no epsilons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DegreeMismatch,
@@ -25,20 +25,24 @@ from .errors import (
     InvalidArgument,
     PreconditionViolated,
     SeparationTooSmall,
+    echo,
 )
 from .polyalg import Polynomial, _as_fraction
 
 
-@dataclass(frozen=True)
-class ApproxContext:
+class ApproxContext(NamedTuple("ApproxContext", [("r", int), ("d", int)])):
     """Precision exponent r (approximations within 2^-r) and degree d."""
 
-    r: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 1 or self.d < 1:
+    def __new__(cls, r: int, d: int):
+        if r < 1 or d < 1:
             raise InvalidArgument("ApproxContext needs r >= 1 and d >= 1")
+        return super().__new__(cls, r, d)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: validate it too
+        return cls(*iterable)
 
 
 def power_diff_bound(a, b, k: int, r: int) -> Fraction:
@@ -62,7 +66,7 @@ def power_diff_bound(a, b, k: int, r: int) -> Fraction:
         raise InvalidArgument("r must be >= 1")
     step = Fraction(1, 2**r)
     if abs(a - b) > step:
-        raise PreconditionViolated(f"|a-b| = {abs(a - b)} exceeds 2^-{r}")
+        raise PreconditionViolated(f"|a-b| = {echo(abs(a - b))} exceeds 2^-{r}")
     if k == 1:
         return step * max(Fraction(1), abs(a), abs(b))
     return step * k * max(abs(a), abs(a) ** k, abs(b), abs(b) ** k)
@@ -187,6 +191,6 @@ def small_value_threshold(
         raise DegreeTooLow("threshold needs degree >= 1")
     step = Fraction(1, 2**ctx.r)
     if step >= delta_min / 2:
-        raise SeparationTooSmall(f"2^-{ctx.r} >= {delta_min}/2")
+        raise SeparationTooSmall(f"2^-{ctx.r} >= {echo(delta_min)}/2")
     d = p.degree
     return min(Fraction(1), delta_min / 2) * factor_floor * Fraction(1, 2 ** (d * ctx.r))

@@ -5,7 +5,24 @@ Every failure mode that callers are expected to handle derives from
 class and map the concrete type to a structured error record. A bad
 argument raises :class:`InvalidArgument`, also a ``ValueError``; only
 programming errors (a value that is not an exact rational, a bit index < 1) do not.
+A message shows each value it names through :func:`echo`, so a long one is cut.
 """
+
+import reprlib
+from fractions import Fraction
+
+
+def echo(value) -> str:
+    """`value` as an error message shows it: reprlib's shortening to about 40
+    characters ('123...789'), a Fraction as num/den the way str shows it, and
+    an integer past the int-to-str digit limit as its bit length."""
+    if isinstance(value, Fraction):
+        num = echo(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{echo(value.denominator)}"
+    try:
+        return reprlib.repr(value)
+    except ValueError:  # sys.get_int_max_str_digits()
+        return f"<{value.bit_length()}-bit integer>"
 
 
 class CertirootError(Exception):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DivisionByZeroPolynomial, InvalidArgument
+from .errors import DivisionByZeroPolynomial, InvalidArgument, echo
 
 Rat = Union[Fraction, int]
 
@@ -29,8 +29,8 @@ def _as_fraction(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise InvalidArgument(f"not an exact rational: {value!r}") from None
-    raise TypeError(f"not an exact rational: {value!r}")
+            raise InvalidArgument(f"not an exact rational: {echo(value)}") from None
+    raise TypeError(f"not an exact rational: {echo(value)}")
 
 
 class Polynomial:

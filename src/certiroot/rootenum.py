@@ -34,9 +34,9 @@ pruned result is bit-identical to the full sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .approxsign import max_changes_of_classes, min_changes_of_classes
 from .errors import (
@@ -45,29 +45,31 @@ from .errors import (
     IdenticalPolynomials,
     InvalidArgument,
     ThresholdNonPositive,
+    echo,
 )
 from .polyalg import Polynomial, _as_fraction
 from .sturm import cauchy_bound, sturm_chain
 
 
-@dataclass(frozen=True)
-class PrecisionParams:
+class PrecisionParams(NamedTuple("PrecisionParams", [("r", int), ("gamma", Fraction)])):
     """Target precision r (roots located to within 2^-r) and sign threshold."""
 
-    r: int
-    gamma: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = _as_fraction(self.gamma)
+    def __new__(cls, r: int, gamma):
+        g = _as_fraction(gamma)
         if g <= 0:
-            raise ThresholdNonPositive(f"gamma must be > 0, got {g}")
-        if self.r < 1:
+            raise ThresholdNonPositive(f"gamma must be > 0, got {echo(g)}")
+        if r < 1:
             raise InvalidArgument("precision r must be >= 1")
-        object.__setattr__(self, "gamma", g)
+        return super().__new__(cls, r, g)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: validate it too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RootCandidateList:
+class RootCandidateList(NamedTuple):
     """Sorted dyadic candidates plus the grid metadata that produced them.
 
     candidates are strictly increasing Fractions of the form m/2^k;
@@ -216,7 +218,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
         raise DegreeTooLow("root enumeration needs degree >= 1")
     if abs(c.leading) <= 2 * params.gamma:
         raise DegreeUnresolved(
-            f"|leading coefficient| = {abs(c.leading)} <= 2*gamma = {2 * params.gamma}"
+            f"|leading coefficient| = {echo(abs(c.leading))} <= 2*gamma = {echo(2 * params.gamma)}"
         )
     r = params.r
     d = c.degree

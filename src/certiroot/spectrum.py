@@ -20,10 +20,10 @@ default_schedule produces the minimal such growth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import InvalidArgument, LengthMismatch, ScheduleOverflow, SourceExhausted
+from .errors import InvalidArgument, LengthMismatch, ScheduleOverflow, SourceExhausted, echo
 from .polyalg import _as_fraction
 
 
@@ -63,27 +63,28 @@ class BitSource:
         return 1 if self._bits[i - 1] == "1" else 0
 
 
-@dataclass(frozen=True)
-class StageSchedule:
+class StageSchedule(NamedTuple("StageSchedule", [("stages", tuple), ("s", Fraction)])):
     """Stage boundaries h_1 < h_2 < ... plus the source share s in [0, 1]."""
 
-    stages: tuple
-    s: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        stages = tuple(int(h) for h in self.stages)
+    def __new__(cls, stages, s):
+        stages = tuple(int(h) for h in stages)
         if not stages:
             raise InvalidArgument("schedule needs at least one stage")
         if stages[0] != 2:
             raise InvalidArgument("the first stage boundary must be 2")
         for prev, nxt in zip(stages, stages[1:]):
             if nxt < 2**prev:
-                raise InvalidArgument(f"stage boundary {nxt} < 2^{prev}")
-        s = _as_fraction(self.s)
+                raise InvalidArgument(f"stage boundary {echo(nxt)} < 2^{prev}")
+        s = _as_fraction(s)
         if not 0 <= s <= 1:
             raise InvalidArgument("s must lie in [0, 1]")
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "s", s)
+        return super().__new__(cls, stages, s)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: validate it too
+        return cls(*iterable)
 
     @property
     def total_length(self) -> int:
@@ -141,7 +142,7 @@ def interleave(y: BitSource, coeff_bits, sched: StageSchedule, n: int) -> str:
     if d < 1:
         raise InvalidArgument("need at least one coefficient source")
     if n < 0 or n > sched.total_length:
-        raise LengthMismatch(f"n = {n} outside [0, {sched.total_length}]")
+        raise LengthMismatch(f"n = {echo(n)} outside [0, {sched.total_length}]")
     out = []
     k = 0  # round-robin counter, stage-local
     stage = -1

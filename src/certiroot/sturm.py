@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegreeTooLow, EndpointIsRoot, InvalidArgument
+from .errors import DegreeTooLow, EndpointIsRoot, InvalidArgument, echo
 from .polyalg import Polynomial, euclid_rem, _as_fraction
 
 #: A Sturm chain is a plain tuple of Polynomial; an evaluation vector is a
@@ -65,15 +65,17 @@ def count_roots(p: Polynomial, a, b) -> int:
     Endpoints must not be roots (EndpointIsRoot otherwise); a must be < b.
     A nonzero constant polynomial has no roots and returns 0.
     """
+    return _count_in(sturm_chain(p) if p.degree else (p,), a, b)
+
+
+def _count_in(chain: SturmChain, a, b) -> int:
+    """count_roots for chain[0], from its Sturm chain (a constant's is itself)."""
     a = _as_fraction(a)
     b = _as_fraction(b)
     if a >= b:
         raise InvalidArgument("count_roots needs a < b")
-    if p.eval(a) == 0 or p.eval(b) == 0:
-        raise EndpointIsRoot(f"endpoint of ({a}, {b}) is a root")
-    if p.degree == 0:
-        return 0
-    chain = sturm_chain(p)
+    if chain[0].eval(a) == 0 or chain[0].eval(b) == 0:
+        raise EndpointIsRoot(f"endpoint of ({echo(a)}, {echo(b)}) is a root")
     return sign_variations(sturm_eval(chain, a)) - sign_variations(sturm_eval(chain, b))
 
 

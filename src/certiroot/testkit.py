@@ -10,15 +10,14 @@ scale — independence from the code under test outranks speed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import DegreeOverflow, InvalidArgument, NoSignChange, TooLong
+from .errors import DegreeOverflow, InvalidArgument, NoSignChange, TooLong, echo
 from .polyalg import Polynomial, _as_fraction
 
 
-@dataclass(frozen=True)
-class PlantedSpec:
+class PlantedSpec(NamedTuple):
     """Factored description of a test polynomial with exact ground truth.
 
     real_roots: ((root, multiplicity), ...) with multiplicity >= 1
@@ -32,8 +31,7 @@ class PlantedSpec:
     leading: Fraction = Fraction(1)
 
 
-@dataclass(frozen=True)
-class PlantedPolynomial:
+class PlantedPolynomial(NamedTuple):
     """plant() result: the expanded polynomial plus exact metadata.
 
     delta_min is the minimum separation between distinct real roots (None
@@ -63,7 +61,7 @@ def plant(spec: PlantedSpec, max_degree: int = 64) -> PlantedPolynomial:
     for p, q in quads:
         disc_quarter = q - p * p / 4
         if disc_quarter <= 0:
-            raise InvalidArgument(f"x^2 + {p}x + {q} has real roots")
+            raise InvalidArgument(f"x^2 + {echo(p)}x + {echo(q)} has real roots")
         floor *= disc_quarter
     degree = sum(m for _, m in roots) + 2 * len(quads)
     if degree > max_degree:
@@ -131,7 +129,7 @@ def bisect_root(p: Polynomial, lo, hi, r: int) -> Fraction:
     hi = _as_fraction(hi)
     flo, fhi = p.eval(lo), p.eval(hi)
     if flo * fhi >= 0:
-        raise NoSignChange(f"no sign change over [{lo}, {hi}]")
+        raise NoSignChange(f"no sign change over [{echo(lo)}, {echo(hi)}]")
     tol = Fraction(1, 2**r)
     while hi - lo > tol:
         mid = (lo + hi) / 2

@@ -231,6 +231,17 @@ def test_sturm_counts(capsys, poly_file):
     assert "chain_length: 3" in out
 
 
+def test_sturm_builds_one_chain_for_every_interval(capsys, poly_file, monkeypatch):
+    built = []
+    chain = certiroot.sturm.sturm_chain
+    monkeypatch.setattr(certiroot.sturm, "sturm_chain", lambda p: built.append(p) or chain(p))
+    path = poly_file("p.json", {"coeffs": ["-2", "0", "1"]})
+    code, out = run(capsys, ["sturm", "--poly", path, "--interval", "-3", "3",
+                             "--interval", "0", "2", "--interval", "-1/2", "1/2"])
+    assert code == 0
+    assert len(built) == 1
+
+
 def test_sturm_interval_validation(capsys, poly_file):
     path = poly_file("p.json", {"coeffs": ["-2", "0", "1"]})
     code, out = run(capsys, ["sturm", "--poly", path, "--interval", "3", "-3"])
@@ -416,6 +427,19 @@ BAD_ARGUMENTS = {
     "over-long-coefficient-string": (
         "ParseError", {"p": {"coeffs": ["1", "7" * 5000]}},
         ["roots", "--poly", "{p}", "--precision", "4"], "coeffs[1]"),
+    "sturm-chain-past-int-str-limit": (
+        "ParseError", {"p": {"coeffs": ["-32/1", "85/1", "-67/1", "28/1", "1/" + "3" * 3000]}},
+        ["sturm", "--poly", "{p}"], "digits"),
+    "long-negative-gamma": (
+        "ThresholdNonPositive", {"p": X2M2},
+        ["roots", "--poly", "{p}", "--precision", "4", "--gamma", "-" + "9" * 2000 + "/3"],
+        "gamma must be > 0, got -333"),
+    "long-gamma": (
+        "DegreeUnresolved", {"p": X2M2},
+        ["roots", "--poly", "{p}", "--precision", "4", "--gamma", "9" * 2000], "2*gamma = 1999"),
+    "intersect-long-denominator": (
+        "DegreeUnresolved", {"a": {"coeffs": ["0", "1/" + "7" * 3000]}, "b": {"coeffs": ["1"]}},
+        ["intersect", "--a", "{a}", "--b", "{b}", "--precision", "4"], "= 1/777"),
 }
 
 

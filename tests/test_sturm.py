@@ -131,6 +131,8 @@ def test_count_roots_errors():
         count_roots(x2_minus_1, 0, 1)  # b is a root
     with pytest.raises(EndpointIsRoot):
         count_roots(Polynomial([0, 1]), 0, 1)  # a is a root
+    with pytest.raises(EndpointIsRoot):
+        count_roots(Polynomial([0]), -1, 1)  # every point is a root of 0
     with pytest.raises(ValueError):
         count_roots(X2_MINUS_2, 3, -3)
     with pytest.raises(ValueError):
