@@ -24,6 +24,7 @@ object. A CertirootError (a bad argument is InvalidArgument, also a ValueError)
 exits 1; its message echoes a bad value shortened (errors.echo), and a value
 past the int-to-str digit limit is a ParseError. Negative rationals such as
 -1/2 are flag values. CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
+A reader that closes stdout early ends the run with status 1 and no traceback.
 Modules a subcommand alone needs (errbounds, spectrum) are imported where used,
 so a `roots` run without a separation block does not load them.
 """
@@ -348,9 +349,12 @@ def main(argv=None) -> int:
     except CertirootError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         report = {"format": FORMAT_VERSION, "error": error}
-    emit(report, args.format)
+    try:
+        emit(report, args.format)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # End like a Unix filter: point stdout at devnull so the exit-time flush
+        # cannot raise again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if "error" in report else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -72,9 +72,13 @@ def power_diff_bound(a, b, k: int, r: int) -> Fraction:
     return step * k * max(abs(a), abs(a) ** k, abs(b), abs(b) ** k)
 
 
-def _scale_factor(x_mag: Fraction, d: int) -> Fraction:
-    """max(u, u^d) for u = |x~| + 2^-r, the drift scale of degree-d terms."""
-    return max(x_mag, x_mag**d)
+def _drift_budget(coeffs: Polynomial, x_approx: Fraction, r: int, t_floor: int) -> Fraction:
+    """(d+1) * 2^-r * (t + d*t*max|a_i|) with t = max(t_floor, u, u^d), u = |x~| + 2^-r."""
+    d = coeffs.degree
+    step = Fraction(1, 2**r)
+    u = abs(x_approx) + step
+    t = max(t_floor, u, u**d)
+    return (d + 1) * step * (t + d * t * max(abs(c) for c in coeffs.coeffs))
 
 
 def eval_tolerance(coeffs: Polynomial, x_approx, r: int) -> Fraction:
@@ -87,12 +91,7 @@ def eval_tolerance(coeffs: Polynomial, x_approx, r: int) -> Fraction:
     """
     if coeffs.is_zero() or coeffs.degree < 1:
         raise DegreeTooLow("tolerance needs degree >= 1")
-    x_approx = _as_fraction(x_approx)
-    d = coeffs.degree
-    step = Fraction(1, 2**r)
-    t = _scale_factor(abs(x_approx) + step, d)
-    biggest = max(abs(c) for c in coeffs.coeffs)
-    return (d + 1) * step * (t + d * t * biggest)
+    return _drift_budget(coeffs, _as_fraction(x_approx), r, 0)
 
 
 def intersection_predicate(coeffs: Polynomial, x_approx, y_approx, r: int) -> bool:
@@ -119,11 +118,7 @@ def intersection_predicate(coeffs: Polynomial, x_approx, y_approx, r: int) -> bo
     y_approx = _as_fraction(y_approx)
     if coeffs.is_zero() or coeffs.degree < 1:
         raise DegreeTooLow("predicate needs degree >= 1")
-    d = coeffs.degree
-    step = Fraction(1, 2**r)
-    t_hat = max(Fraction(1), _scale_factor(abs(x_approx) + step, d))
-    biggest = max(abs(c) for c in coeffs.coeffs)
-    tau = (d + 1) * step * (t_hat + d * t_hat * biggest) + step
+    tau = _drift_budget(coeffs, x_approx, r, 1) + Fraction(1, 2**r)
     return abs(y_approx - coeffs.eval(x_approx)) < tau
 
 

@@ -53,6 +53,9 @@ class Polynomial:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not the guard
+        return type(self), (self.coeffs,)
+
     # -- basic protocol ------------------------------------------------------
 
     def __eq__(self, other) -> bool:

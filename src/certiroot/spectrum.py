@@ -13,6 +13,10 @@ stage embeds a prefix of each coefficient stream on its own. The constant
 coefficient a_0 is never an input and so never appears. extract_blocks is
 the exact inverse on the consumed bits.
 
+The generator _walk is the one place this position rule lives: it names the
+source of every position, interleave gathers along it and extract_blocks
+scatters along it, so the two cannot disagree.
+
 Admissible schedules grow fast: h_1 = 2 and h_j >= 2^(h_{j-1}) afterwards;
 default_schedule produces the minimal such growth.
 """
@@ -113,15 +117,26 @@ def default_schedule(j_max: int, s=Fraction(1, 2), max_bits: int = 2**20) -> Sta
     return StageSchedule(tuple(stages), _as_fraction(s))
 
 
-def _segments(sched: StageSchedule, n: int):
-    """Yield (position, take_from_y, stage_index) for positions 1..n."""
+def _walk(sched: StageSchedule, d: int, n: int):
+    """Yield (position, slot) for positions 1..n of the constructed point.
+
+    slot is None when the position copies y[position], else (i, k): bit k
+    (0-based) of a_{i+1}. Inside a stage, the positions up to its source cut
+    come first; the rest take a_1[0] a_2[0] ... a_d[0] a_1[1] ... from the
+    stage's first coefficient position on, so the pattern restarts at each
+    boundary.
+    """
     prev = 0
     for j, h in enumerate(sched.stages):
-        cut = sched.source_cut(j)
-        for pos in range(prev + 1, h + 1):
-            if pos > n:
-                return
-            yield pos, pos <= cut, j
+        if prev >= n:
+            return
+        first = max(sched.source_cut(j), prev) + 1  # first coefficient position
+        for pos in range(prev + 1, min(h, n) + 1):
+            if pos < first:
+                yield pos, None
+            else:
+                k, i = divmod(pos - first, d)
+                yield pos, (i, k)
         prev = h
 
 
@@ -143,18 +158,10 @@ def interleave(y: BitSource, coeff_bits, sched: StageSchedule, n: int) -> str:
         raise InvalidArgument("need at least one coefficient source")
     if n < 0 or n > sched.total_length:
         raise LengthMismatch(f"n = {echo(n)} outside [0, {sched.total_length}]")
-    out = []
-    k = 0  # round-robin counter, stage-local
-    stage = -1
-    for pos, from_y, j in _segments(sched, n):
-        if j != stage:
-            stage, k = j, 0
-        if from_y:
-            out.append(y.bit(pos))
-        else:
-            out.append(coeff_bits[k % d].bit(k // d + 1))
-            k += 1
-    return "".join(str(b) for b in out)
+    return "".join(
+        str(y.bit(pos) if slot is None else coeff_bits[slot[0]].bit(slot[1] + 1))
+        for pos, slot in _walk(sched, d, n)
+    )
 
 
 def extract_blocks(x: str, sched: StageSchedule, d: int):
@@ -175,28 +182,17 @@ def extract_blocks(x: str, sched: StageSchedule, d: int):
         raise LengthMismatch(f"{n} bits exceed the schedule's {sched.total_length}")
     if set(x) - {"0", "1"}:
         raise InvalidArgument("bit string may contain only '0' and '1'")
-    y_fragments: list[tuple[int, str]] = []
+    runs: list[tuple[int, list[str]]] = []
     coeffs: list[list[str]] = [[] for _ in range(d)]
-    current_start = None
-    current: list[str] = []
-    k = 0
-    stage = -1
-    for pos, from_y, j in _segments(sched, n):
-        if j != stage:
-            stage, k = j, 0
+    for pos, slot in _walk(sched, d, n):
         bit = x[pos - 1]
-        if from_y:
-            if current_start is None:
-                current_start = pos
-            current.append(bit)
+        if slot is None:
+            if runs and runs[-1][0] + len(runs[-1][1]) == pos:
+                runs[-1][1].append(bit)
+            else:
+                runs.append((pos, [bit]))
         else:
-            if current_start is not None:
-                y_fragments.append((current_start, "".join(current)))
-                current_start, current = None, []
-            i, idx = k % d, k // d
-            if idx == len(coeffs[i]):
+            i, k = slot
+            if k == len(coeffs[i]):
                 coeffs[i].append(bit)
-            k += 1
-    if current_start is not None:
-        y_fragments.append((current_start, "".join(current)))
-    return y_fragments, ["".join(c) for c in coeffs]
+    return [(start, "".join(bits)) for start, bits in runs], ["".join(c) for c in coeffs]

@@ -39,7 +39,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     if p.is_zero() or p.degree < 1:
         raise DegreeTooLow("Sturm chain needs a non-constant polynomial")
     chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree >= 1:
+    while chain[-1].degree >= 1:
         r = euclid_rem(chain[-2], chain[-1])
         if r.is_zero():
             break

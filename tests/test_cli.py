@@ -645,3 +645,21 @@ def test_python_dash_m_smoke(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert [c["value"] for c in report["candidates"]] == ["31/32", "33/32"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_ends_quietly(tmp_path, fmt):
+    """`roots ... | head -c 50`: the report outgrows the pipe buffer, and the
+    reader closes its end after 50 bytes. Exit 1, and nothing on stderr."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"coeffs": ["-2", "0", "1"]}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "certiroot", "roots", "--poly", str(path),
+         "--gamma", "1/64", "--precision", "18", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (1, b"")

@@ -2,8 +2,10 @@
 run imports only what it runs, and the immutable records keep the repr,
 equality, hashing and validation they had as frozen dataclasses."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -137,6 +139,25 @@ def test_record_repr_equality_hash_and_immutability(case):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert repr(a) == text
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("case", ["Polynomial", *RECORDS])
+def test_copy_deepcopy_and_pickle_round_trip(case):
+    build = (lambda: Polynomial(["-1/2", 0, 3])) if case == "Polynomial" else RECORDS[case][0]
+    a = build()
+    for how, duplicate in COPIES.items():
+        b = duplicate(a)
+        assert type(b) is type(a) and b == a and hash(b) == hash(a), how
+        assert repr(b) == repr(a), how
+        with pytest.raises(AttributeError):
+            b.extra = 1
 
 
 # (type, valid keyword arguments, invalid overrides with the error each raises)

@@ -112,7 +112,10 @@ def test_trace_d2_s_half():
 def test_s_one_copies_y():
     sched = StageSchedule((2, 4), 1)
     y = rand_bits(rng, 4)
-    assert interleave(BitSource(y), [BitSource("0000")], sched, 4) == y
+    x = interleave(BitSource(y), [BitSource("0000")], sched, 4)
+    assert x == y
+    # one fragment across the stage boundary, not one per stage
+    assert extract_blocks(x, sched, 1) == ([(1, y)], [""])
 
 
 def test_s_zero_pure_coefficient_pattern():
@@ -120,14 +123,30 @@ def test_s_zero_pure_coefficient_pattern():
     x = interleave(BitSource("0000"), [BitSource("10"), BitSource("01")], sched, 4)
     # each stage restarts: stage 1 = a1[0] a2[0], stage 2 = a1[0] a2[0]
     assert x == "1010"
+    # stage 3 (positions 5-16) carries both sources in full
+    sched = StageSchedule((2, 4, 16), 0)
+    a1, a2 = "101100", "010011"
+    x = interleave(BitSource(""), [BitSource(a1), BitSource(a2)], sched, 16)
+    assert x == "10" + "10" + "100110100101"
+    assert extract_blocks(x, sched, 2) == ([], [a1, a2])
 
 
 def test_prefix_lengths():
     sched = StageSchedule((2, 4), Fraction(1, 2))
     y = BitSource("1111")
-    for n, expected in [(0, ""), (1, "1"), (2, "10"), (3, "100")]:
+    for n, expected, blocks in [
+        (0, "", ([], ["", ""])),
+        (1, "1", ([(1, "1")], ["", ""])),
+        (2, "10", ([(1, "1")], ["0", ""])),
+        (3, "100", ([(1, "1")], ["0", ""])),  # ends mid-stage, before a2[0]
+    ]:
         got = interleave(y, [BitSource("00"), BitSource("01")], sched, n)
         assert got == expected
+        assert extract_blocks(got, sched, 2) == blocks
+    # stage 3 of (2, 4, 16) copies y at 5-8, then a1[0] a2[0] a1[1] from 9
+    sched = StageSchedule((2, 4, 16), Fraction(1, 2))
+    assert extract_blocks("1001" + "0101" + "011", sched, 2) == (
+        [(1, "1"), (5, "0101")], ["01", "1"])
 
 
 def test_interleave_errors():
@@ -140,6 +159,11 @@ def test_interleave_errors():
         interleave(BitSource("1111"), [], sched, 4)
     with pytest.raises(SourceExhausted):
         interleave(BitSource(""), [BitSource("00")], sched, 4)
+    # a2 runs out at position 14, mid-stage: a2[2] is asked for after a1[2]
+    y, a1, a2 = BitSource("1" * 16), BitSource("0" * 8), BitSource("00")
+    with pytest.raises(SourceExhausted, match="^bit 3 of a 2-bit source$"):
+        interleave(y, [a1, a2], StageSchedule((2, 4, 16), Fraction(1, 2)), 16)
+    assert (y.queried, a1.queried, a2.queried) == (8, 3, 2)
 
 
 def test_single_coefficient_round_robin_is_sequential():
