@@ -39,8 +39,8 @@ import sys
 from fractions import Fraction
 
 from . import rootenum, sturm
-from .errors import CertirootError, DegreeTooLow, InvalidArgument, ParseError, echo
-from .polyalg import Polynomial
+from .errors import CertirootError, InvalidArgument, ParseError, echo
+from .polyalg import Polynomial, _nonconstant_degree
 
 FORMAT_VERSION = 1
 DEFAULT_MAX_DEGREE = 64
@@ -48,8 +48,7 @@ DEFAULT_MAX_DEGREE = 64
 
 # -- serialization helpers ---------------------------------------------------
 
-def frac_str(q) -> str:
-    q = Fraction(q)
+def frac_str(q: Fraction) -> str:
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:  # a part past sys.get_int_max_str_digits()
@@ -57,12 +56,9 @@ def frac_str(q) -> str:
                          f"{sys.get_int_max_str_digits()} digits") from None
 
 
-def dyadic_str(q: Fraction) -> str | None:
-    """"m/2^k" rendering when the denominator is a power of two, else None."""
-    den = q.denominator
-    if den & (den - 1):
-        return None
-    return f"{q.numerator}/2^{den.bit_length() - 1}"
+def dyadic_str(q: Fraction) -> str:
+    """"m/2^k" rendering of a candidate, whose denominator is always 2^(r+1)."""
+    return f"{q.numerator}/2^{q.denominator.bit_length() - 1}"
 
 
 def parse_fraction(text: str, what: str) -> Fraction:
@@ -145,17 +141,16 @@ def resolve_gamma(poly: Polynomial, data: dict, r: int, flag_value):
         floor = parse_fraction(data.get("factor_floor", "1"), "factor_floor")
     if r < 1:  # after the blocks parse (their errors come first), before r, d are used
         raise InvalidArgument("precision r must be >= 1")
-    if poly.is_zero() or poly.degree < 1:
-        raise DegreeTooLow("root enumeration needs degree >= 1")
+    d = _nonconstant_degree(poly, "root enumeration needs degree >= 1")
     if delta is not None:
         from . import errbounds
 
-        ctx = errbounds.ApproxContext(r=r, d=poly.degree)
+        ctx = errbounds.ApproxContext(r=r, d=d)
         gamma = errbounds.small_value_threshold(poly, delta, ctx, factor_floor=floor)
         return gamma, "separation", []
     warning = ("gamma defaulted to 2^(-d*r); the 6*d^2 length bound is heuristic "
                "without a certified root separation")
-    return Fraction(1, 2 ** (poly.degree * r)), "default", [warning]
+    return Fraction(1, 2 ** (d * r)), "default", [warning]
 
 
 # -- report rendering --------------------------------------------------------

@@ -21,13 +21,12 @@ from typing import NamedTuple
 
 from .errors import (
     DegreeMismatch,
-    DegreeTooLow,
     InvalidArgument,
     PreconditionViolated,
     SeparationTooSmall,
     echo,
 )
-from .polyalg import Polynomial, _as_fraction
+from .polyalg import Polynomial, _as_fraction, _nonconstant_degree
 
 
 class ApproxContext(NamedTuple("ApproxContext", [("r", int), ("d", int)])):
@@ -74,6 +73,8 @@ def power_diff_bound(a, b, k: int, r: int) -> Fraction:
 
 def _drift_budget(coeffs: Polynomial, x_approx: Fraction, r: int, t_floor: int) -> Fraction:
     """(d+1) * 2^-r * (t + d*t*max|a_i|) with t = max(t_floor, u, u^d), u = |x~| + 2^-r."""
+    if r < 1:
+        raise InvalidArgument("r must be >= 1")
     d = coeffs.degree
     step = Fraction(1, 2**r)
     u = abs(x_approx) + step
@@ -87,10 +88,10 @@ def eval_tolerance(coeffs: Polynomial, x_approx, r: int) -> Fraction:
     t = max(u, u^d) with u = |x_approx| + 2^-r. This is the raw drift budget
     of an exact Horner evaluation at x_approx when every coefficient and the
     point each move by less than 2^-r; see intersection_predicate for the
-    acceptance test built on it. Raises DegreeTooLow below degree 1.
+    acceptance test built on it. Raises DegreeTooLow below degree 1 and
+    InvalidArgument for r < 1.
     """
-    if coeffs.is_zero() or coeffs.degree < 1:
-        raise DegreeTooLow("tolerance needs degree >= 1")
+    _nonconstant_degree(coeffs, "tolerance needs degree >= 1")
     return _drift_budget(coeffs, _as_fraction(x_approx), r, 0)
 
 
@@ -116,8 +117,7 @@ def intersection_predicate(coeffs: Polynomial, x_approx, y_approx, r: int) -> bo
     """
     x_approx = _as_fraction(x_approx)
     y_approx = _as_fraction(y_approx)
-    if coeffs.is_zero() or coeffs.degree < 1:
-        raise DegreeTooLow("predicate needs degree >= 1")
+    _nonconstant_degree(coeffs, "predicate needs degree >= 1")
     tau = _drift_budget(coeffs, x_approx, r, 1) + Fraction(1, 2**r)
     return abs(y_approx - coeffs.eval(x_approx)) < tau
 
@@ -132,8 +132,7 @@ def snap_polynomial(a: Polynomial, a_approx: Polynomial, x) -> Polynomial:
     if a.is_zero() or a_approx.is_zero() or a.degree != a_approx.degree or a.degree < 1:
         raise DegreeMismatch("snap needs two polynomials of the same degree >= 1")
     x = _as_fraction(x)
-    tail = Polynomial([Fraction(0)] + list(a_approx.coeffs[1:]))
-    b0 = a.eval(x) - tail.eval(x)
+    b0 = a.eval(x) - a_approx.eval(x) + a_approx.coeffs[0]
     return Polynomial([b0] + list(a_approx.coeffs[1:]))
 
 
@@ -182,10 +181,8 @@ def small_value_threshold(
         raise InvalidArgument("delta_min must be > 0")
     if factor_floor <= 0:
         raise InvalidArgument("factor_floor must be > 0")
-    if p.is_zero() or p.degree < 1:
-        raise DegreeTooLow("threshold needs degree >= 1")
+    d = _nonconstant_degree(p, "threshold needs degree >= 1")
     step = Fraction(1, 2**ctx.r)
     if step >= delta_min / 2:
         raise SeparationTooSmall(f"2^-{ctx.r} >= {echo(delta_min)}/2")
-    d = p.degree
     return min(Fraction(1), delta_min / 2) * factor_floor * Fraction(1, 2 ** (d * ctx.r))

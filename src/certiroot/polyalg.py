@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import DivisionByZeroPolynomial, InvalidArgument, echo
+from .errors import DegreeTooLow, DivisionByZeroPolynomial, InvalidArgument, echo
 
 Rat = Union[Fraction, int]
 
@@ -94,8 +94,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         """Formal derivative; the derivative of a constant is the zero polynomial."""
-        if len(self.coeffs) == 1:
-            return Polynomial([0])
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     # -- ring operations -------------------------------------------------------
@@ -116,8 +114,6 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial([0])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -131,6 +127,14 @@ class Polynomial:
         return Polynomial([k * c for c in self.coeffs])
 
 
+def _nonconstant_degree(p: Polynomial, message: str) -> int:
+    """deg p, or DegreeTooLow(message) for a constant or the zero polynomial
+    (whose degree is None, so it is tested first)."""
+    if p.is_zero() or p.degree < 1:
+        raise DegreeTooLow(message)
+    return p.degree
+
+
 def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Exact Euclidean division: p = Q*q + R with deg R < deg q.
 
@@ -138,8 +142,6 @@ def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
     """
     if q.is_zero():
         raise DivisionByZeroPolynomial("division by the zero polynomial")
-    if p.is_zero() or len(p.coeffs) < len(q.coeffs):
-        return Polynomial([0]), p
     rem = list(p.coeffs)
     qc = q.coeffs
     dq = len(qc) - 1

@@ -40,14 +40,13 @@ from typing import NamedTuple
 
 from .approxsign import max_changes_of_classes, min_changes_of_classes
 from .errors import (
-    DegreeTooLow,
     DegreeUnresolved,
     IdenticalPolynomials,
     InvalidArgument,
     ThresholdNonPositive,
     echo,
 )
-from .polyalg import Polynomial, _as_fraction
+from .polyalg import Polynomial, _as_fraction, _nonconstant_degree
 from .sturm import cauchy_bound, sturm_chain
 
 
@@ -214,14 +213,12 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     <= 2*gamma (an approximately-known vector whose top coefficient cannot
     be trusted to be nonzero would make the Euclidean divisions meaningless).
     """
-    if c.is_zero() or c.degree < 1:
-        raise DegreeTooLow("root enumeration needs degree >= 1")
+    d = _nonconstant_degree(c, "root enumeration needs degree >= 1")
     if abs(c.leading) <= 2 * params.gamma:
         raise DegreeUnresolved(
             f"|leading coefficient| = {echo(abs(c.leading))} <= 2*gamma = {echo(2 * params.gamma)}"
         )
     r = params.r
-    d = c.degree
     beta = cauchy_bound(c)
     e = max(0, ceil_log2(beta))
     chain = sturm_chain(c)

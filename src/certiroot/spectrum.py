@@ -34,11 +34,11 @@ from .polyalg import _as_fraction
 class BitSource:
     """1-based indexable finite binary sequence.
 
-    Accepts a string of '0'/'1' or any iterable of 0/1 ints. bit(i) raises
-    SourceExhausted past the end, so a too-short source is an error rather
-    than silent padding. Accesses are recorded in `queried` (highest index
-    asked for), which the test oracles use to prove which sources were
-    touched.
+    Accepts a string of '0'/'1' or any iterable of the ints 0 and 1 (True
+    and False count as ints; floats do not). bit(i) raises SourceExhausted
+    past the end, so a too-short source is an error rather than silent
+    padding. Accesses are recorded in `queried` (highest index asked for),
+    which the test oracles use to prove which sources were touched.
     """
 
     def __init__(self, bits):
@@ -48,9 +48,9 @@ class BitSource:
             self._bits = bits
         else:
             vals = list(bits)
-            if any(b not in (0, 1) for b in vals):
+            if not all(isinstance(b, int) and b in (0, 1) for b in vals):
                 raise InvalidArgument("bits must be 0 or 1")
-            self._bits = "".join(str(b) for b in vals)
+            self._bits = "".join("1" if b else "0" for b in vals)
         self.queried = 0
 
     def __len__(self) -> int:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegreeTooLow, EndpointIsRoot, InvalidArgument, echo
-from .polyalg import Polynomial, euclid_rem, _as_fraction
+from .errors import EndpointIsRoot, InvalidArgument, echo
+from .polyalg import Polynomial, euclid_rem, _as_fraction, _nonconstant_degree
 
 #: A Sturm chain is a plain tuple of Polynomial; an evaluation vector is a
 #: tuple of Fraction. Both are kept as bare tuples on purpose — every
@@ -36,8 +36,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     Raises DegreeTooLow for constants and the zero polynomial. The chain has
     at most deg(p)+1 elements and degrees strictly decrease from P1 on.
     """
-    if p.is_zero() or p.degree < 1:
-        raise DegreeTooLow("Sturm chain needs a non-constant polynomial")
+    _nonconstant_degree(p, "Sturm chain needs a non-constant polynomial")
     chain = [p, p.derivative()]
     while chain[-1].degree >= 1:
         r = euclid_rem(chain[-2], chain[-1])
@@ -74,9 +73,10 @@ def _count_in(chain: SturmChain, a, b) -> int:
     b = _as_fraction(b)
     if a >= b:
         raise InvalidArgument("count_roots needs a < b")
-    if chain[0].eval(a) == 0 or chain[0].eval(b) == 0:
+    at_a, at_b = sturm_eval(chain, a), sturm_eval(chain, b)
+    if at_a[0] == 0 or at_b[0] == 0:
         raise EndpointIsRoot(f"endpoint of ({echo(a)}, {echo(b)}) is a root")
-    return sign_variations(sturm_eval(chain, a)) - sign_variations(sturm_eval(chain, b))
+    return sign_variations(at_a) - sign_variations(at_b)
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:
@@ -86,8 +86,7 @@ def cauchy_bound(p: Polynomial) -> Fraction:
     monomial the empty maximum is 0, giving beta = 1. Raises DegreeTooLow
     below degree 1.
     """
-    if p.is_zero() or p.degree < 1:
-        raise DegreeTooLow("Cauchy bound needs a non-constant polynomial")
+    _nonconstant_degree(p, "Cauchy bound needs a non-constant polynomial")
     lead = p.leading
     worst = Fraction(0)
     for c in p.coeffs[:-1]:

@@ -381,8 +381,9 @@ def test_invalid_argument_is_both_kinds():
 X2 = {"coeffs": ["-2", "0", "1"]}
 
 # (expected error type, input files, argv with {name} standing for a file's
-# path, a word the message must contain). Each of these used to end in a
-# traceback, a usage error or an uncapped echo instead of an error record.
+# path, a word the message must contain[, environment variables]). Each of
+# these used to end in a traceback, a usage error or an uncapped echo
+# instead of an error record, or is the only input that reaches its raise.
 BAD_ARGUMENTS = {
     "roots-precision-0": (
         "InvalidArgument", {"p": X2M2}, ["roots", "--poly", "{p}", "--precision", "0"],
@@ -440,12 +441,28 @@ BAD_ARGUMENTS = {
     "intersect-long-denominator": (
         "DegreeUnresolved", {"a": {"coeffs": ["0", "1/" + "7" * 3000]}, "b": {"coeffs": ["1"]}},
         ["intersect", "--a", "{a}", "--b", "{b}", "--precision", "4"], "= 1/777"),
+    "max-degree-not-an-integer": (
+        "ParseError", {"p": X2}, ["roots", "--poly", "{p}", "--precision", "4"],
+        "CERTIROOT_MAX_DEGREE is not an integer: 'abc'", {"CERTIROOT_MAX_DEGREE": "abc"}),
+    "empty-coeffs": (
+        "ParseError", {"p": {"coeffs": []}}, ["roots", "--poly", "{p}", "--precision", "4"],
+        "non-empty list"),
+    "non-binary-bits": (
+        "ParseError", {"y": "0120", "a": "0101"},
+        ["spectrum", "--y-bits", "{y}", "--coeff-bits", "{a}", "--stages", "2,4",
+         "--length", "4"], "only '0'/'1' bits"),
+    "non-integer-stage": (
+        "ParseError", {"y": "0101", "a": "0101"},
+        ["spectrum", "--y-bits", "{y}", "--coeff-bits", "{a}", "--stages", "2,x",
+         "--length", "4"], "bad --stages: '2,x'"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_ARGUMENTS)
-def test_bad_argument_is_an_error_record(capsys, tmp_path, case):
-    expected, files, argv, word = BAD_ARGUMENTS[case]
+def test_bad_argument_is_an_error_record(capsys, monkeypatch, tmp_path, case):
+    expected, files, argv, word, *env = BAD_ARGUMENTS[case]
+    for name, value in dict(*env).items():
+        monkeypatch.setenv(name, value)
     paths = {}
     for name, content in files.items():
         path = paths[name] = tmp_path / name

@@ -10,6 +10,7 @@ from certiroot import (
     ApproxContext,
     DegreeMismatch,
     DegreeTooLow,
+    InvalidArgument,
     PlantedSpec,
     Polynomial,
     PreconditionViolated,
@@ -123,8 +124,17 @@ def test_eval_tolerance_formula_replication():
 
 
 def test_eval_tolerance_rejects_constants():
+    """Both evaluation bounds reject a constant, and a precision r < 1 the way
+    power_diff_bound does."""
     with pytest.raises(DegreeTooLow):
         eval_tolerance(Polynomial([3]), 0, 4)
+    with pytest.raises(DegreeTooLow, match="predicate needs degree >= 1"):
+        intersection_predicate(Polynomial([3]), 0, 3, 4)
+    for r in (0, -1):
+        with pytest.raises(InvalidArgument, match="r must be >= 1"):
+            eval_tolerance(Polynomial([-2, 0, 1]), 1, r)
+        with pytest.raises(InvalidArgument, match="r must be >= 1"):
+            intersection_predicate(Polynomial([-2, 0, 1]), 1, -1, r)
 
 
 def test_predicate_true_on_exact_triples():

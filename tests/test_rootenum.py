@@ -9,9 +9,11 @@ licensed change in observable behavior.
 import functools
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certiroot import (
     ApproxContext,
@@ -223,6 +225,42 @@ def test_pruned_descent_equals_naive_scan_planted_sweep():
                 spec, r, gamma)
 
 
+@st.composite
+def planted_instances(draw):
+    """A planted polynomial of degree <= 5 (distinct roots on the 1/4 lattice
+    of [-1, 1], multiplicity <= 3, an optional x^2 + p x + 1), r in 4..6,
+    and gamma at the certified floor, at 2^-r or at the coarse 1/64."""
+    quad = draw(st.booleans())
+    nums = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4 - 2 * quad, unique=True))
+    budget, roots = 5 - 2 * quad, []
+    for j, v in enumerate(nums):
+        m = draw(st.integers(1, min(3, budget - (len(nums) - 1 - j))))
+        budget -= m
+        roots.append((Fraction(v, 4), m))
+    spec = PlantedSpec(
+        real_roots=tuple(roots),
+        irreducible_quadratics=((Fraction(draw(st.integers(-1, 1))), Fraction(1)),) * quad,
+        leading=Fraction(draw(st.sampled_from([1, -1, 2, -2]))),
+    )
+    planted = plant(spec)
+    r = draw(st.integers(4, 6))
+    kind = draw(st.sampled_from(["floor", "2^-r", "1/64"]))
+    if kind == "floor":  # 2^-r < delta_min / 2 holds: roots are >= 1/4 apart
+        gamma = small_value_threshold(
+            planted.polynomial, planted.delta_min or 1,
+            ApproxContext(r=r, d=planted.polynomial.degree), planted.factor_floor)
+    else:
+        gamma = Fraction(1, 2**r) if kind == "2^-r" else Fraction(1, 64)
+    return planted.polynomial, PrecisionParams(r=r, gamma=gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_instances())
+def test_pruned_descent_equals_naive_scan_hypothesis(instance):
+    poly, params = instance
+    assert root_enum(poly, params).candidates == naive_grid_scan(poly, params)
+
+
 def test_pruned_descent_equals_naive_scan_small_gamma_interactions():
     # gamma large enough to leave many grid values untrusted
     poly = Polynomial([0, -1, 0, 1])  # roots -1, 0, 1
@@ -431,6 +469,86 @@ def test_refinement_keeps_covering():
         result = root_enum(poly, PrecisionParams(r=r, gamma=Fraction(1, 2**24)))
         for rho, _ in planted.spec.real_roots:
             assert covers(result.candidates, rho, Fraction(1, 2**r))
+
+
+# --- completeness against sympy's exact isolating intervals ----------------
+#
+# Completeness holds for every gamma > 0, so each family runs at the floor's
+# scale 2^(-d*r) and at 2^-r. At 2^-r the Sturm chains of the Mignotte and
+# cluster families mostly end in a constant below gamma, and then every cell
+# of the grid fires (the open "finite answers above the floor" item in
+# ROADMAP.md); those runs keep r small enough that the whole grid stays
+# within 2^15 cells.
+
+
+def sympy_root_intervals(poly, r):
+    """Isolating intervals [a, b] of the real roots of poly, computed and
+    refined to width <= 2^-(r+1) by sympy, independently of this package."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly.coeffs)]
+    eps = sympy.Rational(1, 2 ** (r + 1))
+    return [
+        (Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+        for (a, b), _ in sympy.Poly(coeffs, sympy.Symbol("x")).intervals(eps=eps)
+    ]
+
+
+def assert_complete(poly, r, gamma):
+    """Each root interval [a, b] has a candidate q with b - 2^-r <= q <= a + 2^-r,
+    so q is within 2^-r of the root wherever in [a, b] it lies."""
+    candidates = root_enum(poly, PrecisionParams(r=r, gamma=gamma)).candidates
+    h = Fraction(1, 2**r)
+    for a, b in sympy_root_intervals(poly, r):
+        assert b - a <= h / 2
+        i = bisect_left(candidates, b - h)
+        assert i < len(candidates) and candidates[i] <= a + h, (poly, r, gamma, a, b)
+
+
+def test_completeness_against_sympy_random_integer():
+    """Random integer polynomials of degree 8..12 at r = 16."""
+    local = random.Random(0x5E1F)
+    for _ in range(10):
+        deg = local.randint(8, 12)
+        poly = Polynomial([local.randint(-9, 9) for _ in range(deg)]
+                          + [local.choice([-3, -1, 1, 2])])
+        for gamma in (Fraction(1, 2 ** (deg * 16)), Fraction(1, 2**16)):
+            assert_complete(poly, 16, gamma)
+
+
+def test_completeness_against_sympy_mignotte():
+    """x^d - 2(ax - 1)^2, whose two roots near 1/a are about 2a^(-(d+2)/2)
+    apart (2^-15 at d = 10, a = 5): r = 16 separates them."""
+    for d in range(3, 11):
+        for a in (2, 3, 5):
+            poly = Polynomial([0] * d + [1]) - (Polynomial([-1, a]) * Polynomial([-1, a])).scale(2)
+            assert_complete(poly, 16, Fraction(1, 2 ** (d * 16)))
+            assert_complete(poly, 6, Fraction(1, 2**6))
+
+
+def test_completeness_against_sympy_clusters():
+    """Two to four simple roots 2^-10 apart around a point of the 1/8 lattice."""
+    local = random.Random(0xC1)
+    for _ in range(4):
+        c = Fraction(local.randint(-8, 8), 8)
+        spec = PlantedSpec(
+            real_roots=tuple((c + Fraction(j, 1024), 1) for j in range(local.randint(2, 4))),
+            leading=Fraction(local.choice([1, -1, 2])),
+        )
+        poly = plant(spec).polynomial
+        assert_complete(poly, 14, Fraction(1, 2 ** (poly.degree * 14)))
+        assert_complete(poly, 11, Fraction(1, 2**11))
+
+
+def test_completeness_against_sympy_multiplicities():
+    """A root of each multiplicity 1..6 beside a second root of multiplicity 1 or 2."""
+    local = random.Random(0x6)
+    for m in range(1, 7):
+        a = Fraction(local.randint(-8, 8), 4)
+        spec = PlantedSpec(real_roots=((a, m), (a + Fraction(local.randint(1, 6), 4),
+                                                local.randint(1, 2))))
+        poly = plant(spec).polynomial
+        assert_complete(poly, 16, Fraction(1, 2 ** (poly.degree * 16)))
+        assert_complete(poly, 10, Fraction(1, 2**10))
 
 
 # --- intersect --------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from certiroot import (
     BitSource,
+    InvalidArgument,
     LengthMismatch,
     ScheduleOverflow,
     SourceExhausted,
@@ -47,6 +48,14 @@ def test_bit_source_from_iterable():
     src = BitSource([1, 0, 1, 1])
     assert src.bit(4) == 1
     assert src.queried == 4
+    # True and False are ints, read as 1 and 0, one bit each
+    src = BitSource([True, False, True])
+    assert len(src) == 3
+    assert [src.bit(i) for i in (1, 2, 3)] == [1, 0, 1]
+    # floats are not bits, not even 1.0 and 0.0
+    for junk in ([1.0, 0.0], [1, 0.0], [2], ["1"], [None]):
+        with pytest.raises(InvalidArgument, match="bits must be 0 or 1"):
+            BitSource(junk)
 
 
 def test_bit_source_rejects_junk():
