@@ -22,8 +22,9 @@ each report and each error record in one envelope, "format": 1, and `emit`
 renders it: "key: value" lines (an error: "error: Type: message") or one JSON
 object. A CertirootError (a bad argument is InvalidArgument, also a ValueError)
 exits 1; its message echoes a bad value shortened (errors.echo), and a value
-past the int-to-str digit limit is a ParseError. Negative rationals such as
--1/2 are flag values. CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
+past the int-to-str digit limit is a ParseError, raised before the descent for
+gamma, beta and the grid width. Negative rationals such as -1/2 are flag
+values. CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
 A reader that closes stdout early ends the run with status 1 and no traceback.
 Modules a subcommand alone needs (errbounds, spectrum) are imported where used,
 so a `roots` run without a separation block does not load them.
@@ -204,7 +205,9 @@ def candidate_report(result: rootenum.RootCandidateList, r: int, resolved: tuple
 def cmd_roots(args) -> dict:
     poly, data = load_poly_file(args.poly)
     resolved = resolve_gamma(poly, data, args.precision, args.gamma)
-    result = rootenum.root_enum(poly, rootenum.PrecisionParams(args.precision, resolved[0]))
+    params = rootenum.PrecisionParams(args.precision, resolved[0])
+    candidate_report(rootenum._grid(poly, params), args.precision, resolved)  # fails fast
+    result = rootenum.root_enum(poly, params)
     return {"degree": poly.degree, **candidate_report(result, args.precision, resolved)}
 
 
@@ -216,7 +219,10 @@ def cmd_intersect(args) -> dict:
     if not (diff.is_zero() or diff.degree == 0):
         resolved = resolve_gamma(diff, data_a, args.precision, args.gamma)
         gamma = resolved[0]
-    result = rootenum.intersect(pa, pb, rootenum.PrecisionParams(args.precision, gamma))
+    params = rootenum.PrecisionParams(args.precision, gamma)
+    if resolved[0] is not None:
+        candidate_report(rootenum._grid(diff, params), args.precision, resolved)  # fails fast
+    result = rootenum.intersect(pa, pb, params)
     return {
         "difference_degree": diff.degree,
         **candidate_report(result, args.precision, resolved),

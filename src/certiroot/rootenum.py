@@ -27,8 +27,10 @@ small there, all signs are constant, L = R everywhere inside, and no cell
 fires. Certification is exact integer arithmetic: each range carries, per
 undecided element, its centred Taylor form, derived from the parent's by
 x -> (x +- 1)/2 with shifts and additions only (the bisection step of
-Collins-Akritas and Rouillier-Zimmermann). Ranges pop left to right, so the
-pruned result is bit-identical to the full sweep.
+Collins-Akritas and Rouillier-Zimmermann). A half is shifted only when it is
+split, or when its exact centre value and two O(d) bounds on its coefficient
+sum leave its certification open. Ranges pop left to right, so the pruned
+result is bit-identical to the full sweep.
 """
 
 from __future__ import annotations
@@ -112,20 +114,32 @@ def _taylor_shift(c: list, t: int) -> list:
     return [-x if j & 1 else x for j, x in enumerate(out)] if t < 0 else out
 
 
-def _child_forms(form: tuple, width: int) -> tuple:
-    """Centred forms of the left and right halves of a range of this width.
+def _settle(form: list) -> list:
+    """The coefficients a of a form, shifting a pending one by its t once."""
+    if form[3]:
+        form[0], form[3] = _taylor_shift(form[0], form[3]), 0
+    return form[0]
+
+
+def _child_forms(form: list, width: int) -> tuple:
+    """Pending forms of the left and right halves of a range of this width.
 
     A half of width >= 2 has hw/2 and centre c -+ hw/2, so its form is
     sum_j (a_j / 2^j)(u -+ 1)^j, exact because a_j carries hw^j, hw >= 2.
     A unit cell is centred on its left end with hw = 1, as a width-2 range
     is on m0 + 1, whose left cell is thus its form shifted by -1 and right
     cell its form. The parent's a_0 = V(c) is the shared endpoint value.
+    The shift waits for _settle: c0, the half's a_0, is the scaled form at
+    t = -+1, and its sum |a_i| <= bound = sum_j |a_j| 2^j, as sum_i C(j, i) = 2^j.
     """
-    a, v0, v1 = form
+    a, v0, v1 = _settle(form), form[1], form[2]
     if width > 2:
-        a = [x >> j for j, x in enumerate(a)]
-    right = _taylor_shift(a, 1) if width > 2 else a
-    return (_taylor_shift(a, -1), v0, a[0]), (right, a[0], v1)
+        bound, a = sum(map(abs, a)), [x >> j for j, x in enumerate(a)]
+    else:
+        bound = sum(abs(x) << j for j, x in enumerate(a))
+    even, odd = sum(a[::2]), sum(a[1::2])
+    right = [a, a[0], v1, 1, even + odd, bound] if width > 2 else [a, a[0], v1, 0, a[0], bound]
+    return [a, v0, a[0], -1, even - odd, bound], right
 
 
 class _ScaledChain:
@@ -139,9 +153,9 @@ class _ScaledChain:
     |P| < gamma  iff  |V| < lim = ceil(g_num * den * 2^(rk) / g_den).
 
     A range [m0, m1] with centre c and half-width hw (a unit cell: c = m0,
-    hw = 1) has the centred form (a, V(m0), V(m1)) of V, where a_j =
-    b_j * hw^j for the Taylor coefficients b_j of V about c, i.e.
-    V(c + hw*u) = sum_j a_j u^j.
+    hw = 1) carries [a, V(m0), V(m1), t, a_0, bound >= sum_j |a_j|] for the
+    centred form V(c + hw*u) = sum_j a_j u^j, a_j = b_j * hw^j with b_j the
+    Taylor coefficients of V about c; t != 0 marks a pending a (_child_forms).
     """
 
     def __init__(self, chain, r: int, gamma: Fraction):
@@ -158,10 +172,10 @@ class _ScaledChain:
         # is the previous leaf's right end: keep just the latest result.
         self._last = (None, ())
 
-    def root_form(self, idx: int, half: int) -> tuple:
+    def root_form(self, idx: int, half: int) -> list:
         """Centred form of chain[idx] over [-half, half]: c = 0, hw = half."""
         a = [h * half**j for j, h in enumerate(reversed(self.polys[idx][0]))]
-        return a, sum(a[::2]) - sum(a[1::2]), sum(a)
+        return [a, sum(a[::2]) - sum(a[1::2]), sum(a), 0, a[0], sum(map(abs, a))]
 
     def classify(self, m: int) -> tuple:
         """Entry classes ((sign, small), ...) of the chain at grid point m/2^r."""
@@ -177,25 +191,29 @@ class _ScaledChain:
         self._last = (m, tuple(out))
         return self._last[1]
 
-    def certified_off(self, idx: int, m0: int, m1: int, form: tuple) -> bool:
+    def certified_off(self, idx: int, m0: int, m1: int, form: list) -> bool:
         """True if |chain[idx]| >= gamma provably holds on [m0/2^r, m1/2^r].
 
         form is chain[idx]'s centred form over the range. Checked in order:
         1. Exact values: if V(m0), V(m1) differ in sign or one is 0, or
-           |V(c)| = |a_0| < lim, the range holds a small point and no sound
+           |V(c)| = |c0| < lim, the range holds a small point and no sound
            enclosure certifies it: False.
-        2. Centred form: |V| >= |a_0| - sum_{j>=1} |a_j| on the range. The
+        2. Centred form: |V| >= |c0| - sum_{j>=1} |a_j| on the range. The
            a_j decay like distance^(mult-j) near a root, so ranges a few
            widths from a root certify and the descent stays near-linear in
-           depth even around high-multiplicity roots.
+           depth even around high-multiplicity roots. The sum lies between
+           max(|V(m0)|, |V(m1)|), the form's values at the ends, and bound:
+           only when these two leave the test open is the form settled.
         3. Plain interval Horner over [m0, m1]: tight far from the roots.
         """
-        a, v0, v1 = form
+        _, v0, v1, _, c0, bound = form
         horner, lim = self.polys[idx]
-        a0 = abs(a[0])
-        if not (v0 > 0 < v1 or v0 < 0 > v1) or a0 < lim:
+        c0 = abs(c0)
+        if not (v0 > 0 < v1 or v0 < 0 > v1) or c0 < lim:
             return False
-        if 2 * a0 - sum(map(abs, a)) >= lim:
+        if 2 * c0 - bound >= lim:
+            return True
+        if 2 * c0 - max(abs(v0), abs(v1)) >= lim and 2 * c0 - sum(map(abs, _settle(form))) >= lim:
             return True
         lo = hi = horner[0]
         for h in horner[1:]:
@@ -206,6 +224,19 @@ class _ScaledChain:
         return lo >= lim or -hi >= lim
 
 
+def _grid(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
+    """root_enum's checks and grid, with no candidates: a report's fields
+    that need no descent."""
+    d = _nonconstant_degree(c, "root enumeration needs degree >= 1")
+    if abs(c.leading) <= 2 * params.gamma:
+        raise DegreeUnresolved(
+            f"|leading coefficient| = {echo(abs(c.leading))} <= 2*gamma = {echo(2 * params.gamma)}"
+        )
+    beta, r = cauchy_bound(c), params.r
+    e = max(0, ceil_log2(beta))
+    return RootCandidateList((), Fraction(1, 1 << r), 6 * d * d, beta, 1 << e, r + 1 + e)
+
+
 def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     """Enumerate dyadic candidates within 2^-r of every real root of c.
 
@@ -213,17 +244,10 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     <= 2*gamma (an approximately-known vector whose top coefficient cannot
     be trusted to be nonzero would make the Euclidean divisions meaningless).
     """
-    d = _nonconstant_degree(c, "root enumeration needs degree >= 1")
-    if abs(c.leading) <= 2 * params.gamma:
-        raise DegreeUnresolved(
-            f"|leading coefficient| = {echo(abs(c.leading))} <= 2*gamma = {echo(2 * params.gamma)}"
-        )
-    r = params.r
-    beta = cauchy_bound(c)
-    e = max(0, ceil_log2(beta))
+    grid, r = _grid(c, params), params.r
     chain = sturm_chain(c)
     scaled = _ScaledChain(chain, r, params.gamma)
-    half = 1 << (e + r)  # grid numerators run over [-half, half]
+    half = grid.grid_bound << r  # grid numerators run over [-half, half]
     candidates: list[Fraction] = []
     two_r1 = 1 << (r + 1)
     certified_off = scaled.certified_off
@@ -253,14 +277,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
             stack.append((mid, m1, rights))
         if lefts:
             stack.append((m0, mid, lefts))
-    return RootCandidateList(
-        candidates=tuple(candidates),
-        interval_width=Fraction(1, 1 << r),
-        length_bound=6 * d * d,
-        beta=beta,
-        grid_bound=1 << e,
-        r_prime=r + 1 + e,
-    )
+    return grid._replace(candidates=tuple(candidates))
 
 
 def intersect(a: Polynomial, b: Polynomial, params: PrecisionParams) -> RootCandidateList:
@@ -274,9 +291,5 @@ def intersect(a: Polynomial, b: Polynomial, params: PrecisionParams) -> RootCand
     if diff.is_zero():
         raise IdenticalPolynomials("the two coefficient vectors are identical")
     if diff.degree == 0:
-        return RootCandidateList(
-            candidates=(),
-            interval_width=Fraction(1, 1 << params.r),
-            length_bound=0,
-        )
+        return RootCandidateList((), Fraction(1, 1 << params.r), length_bound=0)
     return root_enum(diff, params)

@@ -479,6 +479,47 @@ def test_bad_argument_is_an_error_record(capsys, monkeypatch, tmp_path, case):
     assert word in record["error"]["message"]
 
 
+# Wilkinson's polynomial (x - 1)(x - 2)...(x - 10).
+W10 = {"coeffs": ["3628800", "-10628640", "12753576", "-8409500", "3416930", "-902055",
+                  "157773", "-18150", "1320", "-55", "1"]}
+UNPRINTABLE = "ParseError: cannot print 1/<14401-bit integer>: over 4300 digits"
+
+# Inputs whose report has a field past the int-to-str limit (the default
+# gamma 2^-14400, or the interval width 2^-14400), with the record each
+# gives. Each record comes back without a descent, and the errors of
+# PrecisionParams and of the degree checks still come before the print error.
+PRINT_BEFORE_DESCENT = {
+    "roots-default-gamma": (["roots", "--poly", "{w}", "--precision", "1440"], UNPRINTABLE),
+    "intersect-default-gamma": (
+        ["intersect", "--a", "{w}", "--b", "{zero}", "--precision", "1440"], UNPRINTABLE),
+    "intersect-constant-difference": (
+        ["intersect", "--a", "{five}", "--b", "{zero}", "--precision", "14400"], UNPRINTABLE),
+    "constant-with-gamma": (
+        ["roots", "--poly", "{five}", "--precision", "14400", "--gamma", "1/3"],
+        "DegreeTooLow: root enumeration needs degree >= 1"),
+    "unresolved-leading": (
+        ["roots", "--poly", "{small}", "--precision", "14400", "--gamma", "1"],
+        "DegreeUnresolved: |leading coefficient| = 1/1000 <= 2*gamma = 2"),
+    "zero-gamma": (
+        ["roots", "--poly", "{small}", "--precision", "14400", "--gamma", "0"],
+        "ThresholdNonPositive: gamma must be > 0, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", PRINT_BEFORE_DESCENT)
+def test_unprintable_report_fails_before_the_descent(capsys, monkeypatch, poly_file, case):
+    def descent(*args):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(certiroot.cli.rootenum, "root_enum", descent)
+    argv, expected = PRINT_BEFORE_DESCENT[case]
+    paths = {name: poly_file(f"{name}.json", payload) for name, payload in (
+        ("w", W10), ("zero", {"coeffs": ["0"]}), ("five", {"coeffs": ["5"]}),
+        ("small", {"coeffs": ["1", "1/1000"]}))}
+    code, out = run(capsys, [a.format(**paths) for a in argv])
+    assert (code, out) == (1, f"error: {expected}\n")
+
+
 # --- golden output: every rendered byte, per subcommand and format ----------
 
 

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from certiroot import (
     ApproxContext,
@@ -261,6 +261,26 @@ def test_pruned_descent_equals_naive_scan_hypothesis(instance):
     assert root_enum(poly, params).candidates == naive_grid_scan(poly, params)
 
 
+@st.composite
+def integer_instances(draw):
+    """A polynomial of degree 1..6 with integer coefficients in [-9, 9] and
+    a nonzero leading one, gamma 2^-r or 1/64, and a grid of at most 2^11
+    cells. Its roots are mostly irrational and need not be separated."""
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    poly = Polynomial(coeffs + [draw(st.integers(-9, 9).filter(bool))])
+    r = draw(st.integers(2, 10))
+    assume(r + 1 + max(0, ceil_log2(cauchy_bound(poly))) <= 11)  # r' <= 11
+    gamma = draw(st.sampled_from([Fraction(1, 2**r), Fraction(1, 64)]))
+    return poly, PrecisionParams(r=r, gamma=gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_instances())
+def test_pruned_descent_equals_naive_scan_on_integer_polynomials(instance):
+    poly, params = instance
+    assert root_enum(poly, params).candidates == naive_grid_scan(poly, params)
+
+
 def test_pruned_descent_equals_naive_scan_small_gamma_interactions():
     # gamma large enough to leave many grid values untrusted
     poly = Polynomial([0, -1, 0, 1])  # roots -1, 0, 1
@@ -318,11 +338,12 @@ def _reference_certified_off(horner, rhs, g_den, m0, m1):
 
 def test_inherited_forms_match_direct_shift_and_reference():
     """Walk from the whole grid down to a unit cell (toward a fired cell or
-    a random one). The whole grid's form and, at every step, both halves'
-    inherited forms equal the direct shift, and certified_off returns the
-    reference's bool."""
+    a random one). certified_off, given the whole grid's form and, at every
+    step, both halves' pending forms, returns the reference's bool; each form
+    then settles to the direct shift, with its centre value c0 its a_0 and
+    its bound at least its sum |a_j|."""
     local = random.Random(0xF0E)
-    outcomes = set()
+    outcomes, shifted = set(), set()
     for _ in range(60):
         deg = local.randint(1, 8)
         coeffs = [local.randint(-9, 9) for _ in range(deg)] + [local.choice([-3, -1, 1, 2])]
@@ -345,10 +366,16 @@ def test_inherited_forms_match_direct_shift_and_reference():
             ranges = [((-half, half), scaled.root_form(idx, half))]
             while True:
                 for (c0, c1), form in ranges:
-                    assert form == _direct_form(horner, c0, c1)
+                    pending = form[3] != 0
                     expected = _reference_certified_off(horner, rhs, gamma.denominator, c0, c1)
                     assert scaled.certified_off(idx, c0, c1, form) is expected
                     outcomes.add(expected)
+                    if pending:  # did certified_off shift it, and what did it return
+                        shifted.add((form[3] == 0, expected))
+                    a = rootenum._settle(form)
+                    assert (a, form[1], form[2]) == _direct_form(horner, c0, c1)
+                    assert form[4] == a[0]
+                    assert form[5] >= sum(abs(x) for x in a)
                     if c0 <= target < c1:
                         m0, m1, walked = c0, c1, form
                 if m1 - m0 == 1:
@@ -356,6 +383,23 @@ def test_inherited_forms_match_direct_shift_and_reference():
                 mid = (m0 + m1) // 2
                 ranges = zip(((m0, mid), (mid, m1)), rootenum._child_forms(walked, m1 - m0))
     assert outcomes == {True, False}
+    assert shifted == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_taylor_shift_count_on_wilkinson_20(monkeypatch):
+    """A half is shifted only when it descends, or when its centre value and
+    its two bounds on sum |a_j| leave the centred-form test open. Shifting
+    both halves of every undecided element took 34,792 shifts here."""
+    shifts = []
+    shift = rootenum._taylor_shift
+    monkeypatch.setattr(rootenum, "_taylor_shift", lambda c, t: shifts.append(t) or shift(c, t))
+    poly = Polynomial([1])
+    for k in range(1, 21):
+        poly = poly * Polynomial([-k, 1])
+    result = root_enum(poly, PrecisionParams(r=64, gamma=Fraction(1, 2**1280)))
+    h = Fraction(1, 2**65)  # each root is a grid point: both flanking cells fire
+    assert result.candidates == tuple(k + s * h for k in range(1, 21) for s in (-1, 1))
+    assert len(shifts) == 18_106
 
 
 # --- output invariants ------------------------------------------------------
