@@ -101,7 +101,11 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self.coeffs])
 
+    # Any other operand gets NotImplemented, so Python raises TypeError in
+    # either order; scale() multiplies by a rational.
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -111,9 +115,13 @@ class Polynomial:
         return Polynomial(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:

@@ -24,13 +24,21 @@ implementation descends over dyadic cell ranges with an explicit stack (depth
 r' + 1 needs no recursion) and prunes any range on which every chain element
 is certified to keep magnitude >= gamma: no chain element can vanish or go
 small there, all signs are constant, L = R everywhere inside, and no cell
-fires. Certification is exact integer arithmetic: each range carries, per
-undecided element, its centred Taylor form, derived from the parent's by
-x -> (x +- 1)/2 with shifts and additions only (the bisection step of
-Collins-Akritas and Rouillier-Zimmermann). A half is shifted only when it is
-split, or when its exact centre value and two O(d) bounds on its coefficient
-sum leave its certification open. Ranges pop left to right, so the pruned
-result is bit-identical to the full sweep.
+fires. A second prune decides a range of width >= 2 whole when each element
+not certified off is certified to stay strictly inside (0, gamma) or
+(-gamma, 0) on it: every grid point of the range then has one class vector,
+so all its cells fire or none does, as one classify decides. A constant
+chain element inside (-gamma, 0) u (0, gamma), always the last, fires every
+cell of the grid, as the literal scan does: it makes L >= 1 and R <= the
+variation count at z + 2^-r minus 1, or 0. The descent then splits only
+ranges where another element is undecided. Certification is exact integer
+arithmetic: each range carries, per undecided element, its centred Taylor
+form, derived from the parent's by x -> (x +- 1)/2 with shifts and
+additions only (the bisection step of Collins-Akritas and
+Rouillier-Zimmermann). A half is shifted only when it is split, or when its
+exact centre value and two O(d) bounds on its coefficient sum leave its
+certification open. Ranges pop left to right, so the pruned result is
+bit-identical to the full sweep.
 """
 
 from __future__ import annotations
@@ -223,6 +231,27 @@ class _ScaledChain:
             hi = max(p1, p2, p3, p4) + h
         return lo >= lim or -hi >= lim
 
+    def certified_small(self, idx: int, form: list) -> bool:
+        """True if 0 < |chain[idx]| < gamma with one sign provably holds on a
+        range of width >= 2, whose form's u runs over [-1, 1].
+
+        |V - c0| <= S1 = sum_{j>=1} |a_j| on the range, so |c0| - S1 > 0 and
+        |c0| + S1 < lim suffice. They imply that V(m0), V(m1) and c0 are
+        nonzero, of one sign and below lim, which is checked first, in O(1).
+        S1 <= bound - |c0| is tried next; the form is settled only when that
+        leaves the test open.
+        """
+        _, v0, v1, _, c0, bound = form
+        lim = self.polys[idx][1]
+        if c0 < 0:
+            v0, v1, c0 = -v0, -v1, -c0
+        if not (0 < v0 < lim and 0 < v1 < lim and 0 < c0 < lim):
+            return False
+        if 2 * c0 > bound and bound < lim:
+            return True
+        s1 = sum(map(abs, _settle(form))) - c0
+        return s1 < c0 and c0 + s1 < lim
+
 
 def _grid(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     """root_enum's checks and grid, with no candidates: a report's fields
@@ -250,7 +279,8 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     half = grid.grid_bound << r  # grid numerators run over [-half, half]
     candidates: list[Fraction] = []
     two_r1 = 1 << (r + 1)
-    certified_off = scaled.certified_off
+    certified_off, certified_small = scaled.certified_off, scaled.certified_small
+    lims = [lim for _, lim in scaled.polys]
 
     # A stack entry is a range with the centred forms of its undecided chain
     # elements; right halves go first, so ranges pop left to right.
@@ -264,6 +294,14 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
             right = scaled.classify(m1)
             if max_changes_of_classes(left) - min_changes_of_classes(right) >= 1:
                 candidates.append(Fraction(2 * m0 + 1, two_r1))
+            continue
+        for idx, form in forms:  # |c0| >= lim, the common case, needs no call
+            if not -lims[idx] < form[4] < lims[idx] or not certified_small(idx, form):
+                break
+        else:  # one class vector at every grid point: all cells fire or none
+            same = scaled.classify(m0)
+            if max_changes_of_classes(same) - min_changes_of_classes(same) >= 1:
+                candidates.extend(Fraction(2 * m + 1, two_r1) for m in range(m0, m1))
             continue
         mid = (m0 + m1) >> 1
         lefts, rights = [], []

@@ -173,6 +173,16 @@ def test_add_sub_mul_scale_basics():
     assert (p - p).is_zero()
 
 
+@pytest.mark.parametrize("other", [2, Fraction(1, 2), 1.5, "1", None])
+def test_ring_operations_reject_other_operands_in_both_orders(other):
+    p = Polynomial([1, 2])
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
+
+
 def test_mul_degree_adds():
     for _ in range(30):
         p, q = rand_poly(rng, 5), rand_poly(rng, 5)

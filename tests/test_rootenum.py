@@ -341,9 +341,11 @@ def test_inherited_forms_match_direct_shift_and_reference():
     a random one). certified_off, given the whole grid's form and, at every
     step, both halves' pending forms, returns the reference's bool; each form
     then settles to the direct shift, with its centre value c0 its a_0 and
-    its bound at least its sum |a_j|."""
+    its bound at least its sum |a_j|. Where certified_small holds on a range
+    of width >= 2, every grid point of it evaluates strictly inside (0,
+    gamma) or (-gamma, 0), with one sign for all of them."""
     local = random.Random(0xF0E)
-    outcomes, shifted = set(), set()
+    outcomes, shifted, smalls = set(), set(), set()
     for _ in range(60):
         deg = local.randint(1, 8)
         coeffs = [local.randint(-9, 9) for _ in range(deg)] + [local.choice([-3, -1, 1, 2])]
@@ -372,6 +374,12 @@ def test_inherited_forms_match_direct_shift_and_reference():
                     outcomes.add(expected)
                     if pending:  # did certified_off shift it, and what did it return
                         shifted.add((form[3] == 0, expected))
+                    if c1 - c0 >= 2 and scaled.certified_small(idx, form):
+                        values = [_horner(horner, m) for m in range(c0, c1 + 1)]
+                        signs = {(v > 0) - (v < 0) for v in values}
+                        assert len(signs) == 1 and 0 not in signs
+                        assert all(abs(v) * gamma.denominator < rhs for v in values)
+                        smalls.add(gamma in (Fraction(1, 2**r), Fraction(1, 64)))
                     a = rootenum._settle(form)
                     assert (a, form[1], form[2]) == _direct_form(horner, c0, c1)
                     assert form[4] == a[0]
@@ -384,6 +392,44 @@ def test_inherited_forms_match_direct_shift_and_reference():
                 ranges = zip(((m0, mid), (mid, m1)), rootenum._child_forms(walked, m1 - m0))
     assert outcomes == {True, False}
     assert shifted == {(False, True), (False, False), (True, True), (True, False)}
+    assert True in smalls  # certified_small held at gamma 2^-r or 1/64
+
+
+def test_certified_small_needs_both_halves_of_its_test():
+    """P = 100 + 40x - 40x^3 over [-1, 1] (r = 2, so u = x): P is 100 at
+    both ends and the centre, but 115 at x = 1/2, and 10 + P - 100 is -5 at
+    x = -1/2. Each of |c0| - S1 > 0 and |c0| + S1 < lim rejects one."""
+    def small(coeffs, gamma, child=None):
+        scaled = rootenum._ScaledChain([Polynomial(coeffs)], 2, Fraction(gamma))
+        form = scaled.root_form(0, 4)
+        if child is not None:
+            form = rootenum._child_forms(form, 8)[child]
+        return scaled.certified_small(0, form), form[3]
+
+    assert small([100, 40, 0, -40], 110) == (False, 0)  # 115 >= gamma inside
+    assert small([10, 40, 0, -40], 100) == (False, 0)  # -5 inside
+    assert small([100, 40, 0, -40], 200) == (True, 0)
+    assert small([100, 40, 0, -40], 200, child=0) == (True, 0)  # settled to decide
+    assert small([100, 40, 0, -40], 200, child=1) == (True, 1)  # its bound decides
+
+
+def test_constant_chain_element_below_gamma_fires_every_cell(monkeypatch):
+    """The chain of 2x^3 - 7x^2 - 8x - 2 ends in the constant 108/9409, below
+    gamma = 1/64, so every grid point has an untrusted entry and every cell
+    fires, as in the literal scan. Ranges with one class vector are decided
+    whole: far fewer points are classified than cells fire."""
+    poly = Polynomial([-2, -8, -7, 2])
+    assert sturm_chain(poly)[-1] == Polynomial([Fraction(108, 9409)])
+    classify = rootenum._ScaledChain.classify
+    for r in (3, 4, 5):
+        points = []
+        monkeypatch.setattr(rootenum._ScaledChain, "classify",
+                            lambda self, m: points.append(m) or classify(self, m))
+        params = PrecisionParams(r=r, gamma=Fraction(1, 64))
+        result = root_enum(poly, params)
+        assert len(result.candidates) == 1 << result.r_prime
+        assert result.candidates == naive_grid_scan(poly, params)
+        assert len(points) * 4 < len(result.candidates)
 
 
 def test_taylor_shift_count_on_wilkinson_20(monkeypatch):
