@@ -33,8 +33,8 @@ cell of the grid, as the literal scan does: it makes L >= 1 and R <= the
 variation count at z + 2^-r minus 1, or 0. The descent then splits only
 ranges where another element is undecided. Certification is exact integer
 arithmetic: each range carries, per undecided element, its centred Taylor
-form, derived from the parent's by x -> (x +- 1)/2 with shifts and
-additions only (the bisection step of Collins-Akritas and
+form, derived from the parent's by x -> (x +- 1)/2 with bit shifts,
+additions and subtractions only (the bisection step of Collins-Akritas and
 Rouillier-Zimmermann). A half is shifted only when it is split, or when its
 exact centre value and two O(d) bounds on its coefficient sum leave its
 certification open. Ranges pop left to right, so the pruned result is
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple
 
 from .approxsign import max_changes_of_classes, min_changes_of_classes
@@ -110,16 +109,21 @@ def ceil_log2(x) -> int:
 def _taylor_shift(c: list, t: int) -> list:
     """Coefficients (low to high) of sum_j c_j (u + t)^j for t = +1 or -1.
 
-    Each round of prefix sums over the high-to-low list is one synthetic
-    division by (u - 1); t = -1 is t = +1 conjugated by u -> -u.
+    In-place synthetic division on a copy of c: round i divides the quotient
+    held in positions i.. by (u - t) and leaves the remainder in position i,
+    so t = -1 subtracts where t = +1 adds. c itself is not changed; both
+    halves' pending forms share it.
     """
-    if t < 0:
-        c = [-x if j & 1 else x for j, x in enumerate(c)]
-    h, out = c[::-1], []
-    while h:
-        h = list(accumulate(h))
-        out.append(h.pop())
-    return [-x if j & 1 else x for j, x in enumerate(out)] if t < 0 else out
+    c, n = list(c), len(c)
+    if t > 0:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                c[j] += c[j + 1]
+    else:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                c[j] -= c[j + 1]
+    return c
 
 
 def _settle(form: list) -> list:
@@ -213,6 +217,10 @@ class _ScaledChain:
            max(|V(m0)|, |V(m1)|), the form's values at the ends, and bound:
            only when these two leave the test open is the form settled.
         3. Plain interval Horner over [m0, m1]: tight far from the roots.
+           Each step's [lo, hi] * [m0, m1] takes its ends at the corners.
+           Off zero, the sign of x fixes which y end gives the minimum and
+           which the maximum, and the sign of that end fixes the x end: two
+           products. A range holding 0 inside takes all four and min/max.
         """
         _, v0, v1, _, c0, bound = form
         horner, lim = self.polys[idx]
@@ -224,11 +232,18 @@ class _ScaledChain:
         if 2 * c0 - max(abs(v0), abs(v1)) >= lim and 2 * c0 - sum(map(abs, _settle(form))) >= lim:
             return True
         lo = hi = horner[0]
-        for h in horner[1:]:
-            p1, p2 = lo * m0, lo * m1
-            p3, p4 = hi * m0, hi * m1
-            lo = min(p1, p2, p3, p4) + h
-            hi = max(p1, p2, p3, p4) + h
+        if m0 >= 0:
+            for h in horner[1:]:
+                lo, hi = lo * (m0 if lo >= 0 else m1) + h, hi * (m1 if hi >= 0 else m0) + h
+        elif m1 <= 0:
+            for h in horner[1:]:
+                lo, hi = hi * (m0 if hi >= 0 else m1) + h, lo * (m1 if lo >= 0 else m0) + h
+        else:
+            for h in horner[1:]:
+                p1, p2 = lo * m0, lo * m1
+                p3, p4 = hi * m0, hi * m1
+                lo = min(p1, p2, p3, p4) + h
+                hi = max(p1, p2, p3, p4) + h
         return lo >= lim or -hi >= lim
 
     def certified_small(self, idx: int, form: list) -> bool:

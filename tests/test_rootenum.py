@@ -395,6 +395,60 @@ def test_inherited_forms_match_direct_shift_and_reference():
     assert True in smalls  # certified_small held at gamma 2^-r or 1/64
 
 
+def test_plain_interval_horner_on_both_sides_of_zero():
+    """Where the exact values pass and the centred form leaves the test open,
+    certified_off's answer is the plain interval Horner pass's. On ranges
+    with m0 >= 0 or m1 <= 0 (an end at 0 included) it takes two products per
+    step, and on ranges holding 0 inside four; each must give the
+    four-product reference's bool, and each must give both bools. gamma is
+    drawn so that lim falls in the window the centred form leaves open."""
+    local = random.Random(0x2B0)
+    outcomes = {side: set() for side in ("m0 >= 0", "m1 <= 0", "m0 < 0 < m1")}
+    ends_at_zero = set()
+    for _ in range(2000):
+        deg = local.randint(1, 5)
+        coeffs = [local.randint(-9, 9) for _ in range(deg)] + [local.choice([-2, -1, 1, 3])]
+        r = local.randint(1, 3)
+        horner = rootenum._ScaledChain([Polynomial(coeffs)], r, Fraction(1)).polys[0][0]
+        near, width = local.randint(0, 60), local.randint(1, 60)
+        side = local.choice(list(outcomes))
+        m0, m1 = {"m0 >= 0": (near, near + width), "m1 <= 0": (-near - width, -near),
+                  "m0 < 0 < m1": (-width, near + 1)}[side]
+        a, v0, v1 = _direct_form(horner, m0, m1)
+        centred = 2 * abs(a[0]) - sum(map(abs, a))
+        if not (v0 > 0 < v1 or v0 < 0 > v1) or abs(a[0]) <= max(centred, 0):
+            continue  # the exact values decide at every lim
+        low, high = max(centred, 0) + 1, abs(a[0])
+        lim = local.choice((low, high, local.randint(low, high)))
+        gamma = Fraction(lim, 1 << (r * deg))
+        scaled = rootenum._ScaledChain([Polynomial(coeffs)], r, gamma)
+        form = [a, v0, v1, 0, a[0], sum(map(abs, a))]
+        rhs = gamma.numerator << (r * deg)
+        expected = _reference_certified_off(horner, rhs, gamma.denominator, m0, m1)
+        assert scaled.certified_off(0, m0, m1, form) is expected
+        outcomes[side].add(expected)
+        ends_at_zero.update(end for end, m in (("m0 == 0", m0), ("m1 == 0", m1)) if m == 0)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+    assert ends_at_zero == {"m0 == 0", "m1 == 0"}
+
+
+def test_taylor_shift_matches_binomial_definition():
+    """_taylor_shift(c, t) is sum_j c_j (u + t)^j for t = +-1, over lengths
+    1..24 and signed coefficients of up to 2,000 bits, zeros included, and
+    leaves c as it was."""
+    local = random.Random(0x7A1)
+    for n in range(1, 25):
+        for t in (1, -1):
+            for _ in range(4):
+                c = [local.choice([0, 1, -1]) * local.getrandbits(local.randint(1, 2000))
+                     for _ in range(n)]
+                before = list(c)
+                expected = [sum(c[j] * math.comb(j, i) * t ** (j - i) for j in range(i, n))
+                            for i in range(n)]
+                assert rootenum._taylor_shift(c, t) == expected
+                assert c == before
+
+
 def test_certified_small_needs_both_halves_of_its_test():
     """P = 100 + 40x - 40x^3 over [-1, 1] (r = 2, so u = x): P is 100 at
     both ends and the centre, but 115 at x = 1/2, and 10 + P - 100 is -5 at
