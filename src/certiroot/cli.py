@@ -10,12 +10,13 @@ Subcommands:
 
 Polynomial files are JSON: {"coeffs": ["num/den", ...]} with index 0 the
 constant term and rationals as strings to preserve exactness. Optional
-blocks: "roots": [["num/den", multiplicity], ...] and/or "separation":
-"num/den" (certified minimum root separation) let the tool derive the sign
-threshold gamma via the small-value floor; "factor_floor": "num/den"
-supplies the rootless-factor constant. Without any of these and without
---gamma, gamma defaults to 2^(-d*r) and the report carries a warning that
-the 6*d^2 length bound is then heuristic.
+blocks certify the file's own polynomial: "roots": [["num/den",
+multiplicity], ...] and/or "separation": "num/den" (certified minimum root
+separation) let `roots` derive the sign threshold gamma via the small-value
+floor; "factor_floor": "num/den" supplies the rootless-factor constant.
+`intersect` reads no blocks; a certified gamma for A - B is passed with
+--gamma. Without a block and without --gamma, gamma defaults to 2^(-d*r) and
+the report carries a warning that the 6*d^2 length bound is then heuristic.
 
 Reports are deterministic (byte-identical for identical inputs). `main` puts
 each report and each error record in one envelope, "format": 1, and `emit`
@@ -202,31 +203,30 @@ def candidate_report(result: rootenum.RootCandidateList, r: int, resolved: tuple
 
 # -- subcommands: each returns its own fields; main adds the envelope --------
 
+def enumerate_report(poly: Polynomial, data: dict, r: int, flag_value) -> dict:
+    """poly's candidate fields, gamma from flag_value or from data, poly's own
+    blocks. The grid's fields render first: an unprintable report fails fast."""
+    resolved = resolve_gamma(poly, data, r, flag_value)
+    params = rootenum.PrecisionParams(r, resolved[0])
+    candidate_report(rootenum._grid(poly, params), r, resolved)
+    return candidate_report(rootenum.root_enum(poly, params), r, resolved)
+
+
 def cmd_roots(args) -> dict:
     poly, data = load_poly_file(args.poly)
-    resolved = resolve_gamma(poly, data, args.precision, args.gamma)
-    params = rootenum.PrecisionParams(args.precision, resolved[0])
-    candidate_report(rootenum._grid(poly, params), args.precision, resolved)  # fails fast
-    result = rootenum.root_enum(poly, params)
-    return {"degree": poly.degree, **candidate_report(result, args.precision, resolved)}
+    return {"degree": poly.degree, **enumerate_report(poly, data, args.precision, args.gamma)}
 
 
 def cmd_intersect(args) -> dict:
-    pa, data_a = load_poly_file(args.a)
+    pa, _ = load_poly_file(args.a)
     pb, _ = load_poly_file(args.b)
     diff = pa - pb
-    resolved, gamma = (None, None, []), Fraction(1)  # a constant difference has no gamma
-    if not (diff.is_zero() or diff.degree == 0):
-        resolved = resolve_gamma(diff, data_a, args.precision, args.gamma)
-        gamma = resolved[0]
-    params = rootenum.PrecisionParams(args.precision, gamma)
-    if resolved[0] is not None:
-        candidate_report(rootenum._grid(diff, params), args.precision, resolved)  # fails fast
-    result = rootenum.intersect(pa, pb, params)
-    return {
-        "difference_degree": diff.degree,
-        **candidate_report(result, args.precision, resolved),
-    }
+    if diff.is_zero() or diff.degree == 0:  # nothing to enumerate, so no gamma
+        result = rootenum.intersect(pa, pb, rootenum.PrecisionParams(args.precision, 1))
+        fields = candidate_report(result, args.precision, (None, None, []))
+    else:  # A's blocks do not describe A - B: gamma comes from --gamma or the default
+        fields = enumerate_report(diff, {}, args.precision, args.gamma)
+    return {"difference_degree": diff.degree, **fields}
 
 
 def cmd_sturm(args) -> dict:

@@ -95,15 +95,13 @@ class RootCandidateList(NamedTuple):
 
 
 def ceil_log2(x) -> int:
-    """Smallest integer e with 2^e >= x, for rational x > 0."""
+    """Smallest integer e with 2^e >= x, for rational x > 0: the bit length of
+    ceil(x) - 1 = (n - 1) // d if x > 1, else 1 - the bit length of floor(1/x)."""
     x = _as_fraction(x)
     if x <= 0:
         raise InvalidArgument("ceil_log2 needs x > 0")
     n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length() - 1
-    while (1 << e) * d < n if e >= 0 else n * (1 << -e) > d:
-        e += 1
-    return e
+    return ((n - 1) // d).bit_length() if n > d else 1 - (d // n).bit_length()
 
 
 def _taylor_shift(c: list, t: int) -> list:
@@ -277,7 +275,7 @@ def _grid(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
             f"|leading coefficient| = {echo(abs(c.leading))} <= 2*gamma = {echo(2 * params.gamma)}"
         )
     beta, r = cauchy_bound(c), params.r
-    e = max(0, ceil_log2(beta))
+    e = ceil_log2(beta)  # >= 0, as beta >= 1
     return RootCandidateList((), Fraction(1, 1 << r), 6 * d * d, beta, 1 << e, r + 1 + e)
 
 

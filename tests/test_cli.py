@@ -213,6 +213,25 @@ def test_intersect_constant_difference(capsys, poly_file):
     assert report["gamma"] is None
 
 
+def test_intersect_ignores_blocks_that_certify_only_a(capsys, poly_file):
+    # The blocks are true of A = 1000x^2 + 10^6, not of A - B = (x - 1/3)^2:
+    # a floor derived from them fires 2,001 cells where roots' run fires 3.
+    a = poly_file("a.json", {"coeffs": ["1000000", "0", "1000"],
+                             "separation": "2", "factor_floor": "1000000"})
+    b = poly_file("b.json", {"coeffs": ["8999999/9", "2/3", "999"]})
+    diff = poly_file("diff.json", {"coeffs": ["1/9", "-2/3", "1"]})
+    _, out = run(capsys, ["intersect", "--a", a, "--b", b, "--precision", "12",
+                          "--format", "json"])
+    report = json.loads(out)
+    assert report["gamma_source"] == "default"
+    assert report["warnings"] and "heuristic" in report["warnings"][0]
+    assert report["cells_fired"] <= report["length_bound"]
+    _, out = run(capsys, ["roots", "--poly", diff, "--precision", "12", "--format", "json"])
+    alone = json.loads(out)
+    assert report.pop("difference_degree") == alone.pop("degree") == 2
+    assert {**report, "command": "roots"} == alone
+
+
 # --- sturm ------------------------------------------------------------------
 
 

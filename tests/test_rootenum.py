@@ -147,6 +147,14 @@ def test_ceil_log2():
     assert ceil_log2(Fraction(5, 2)) == 2
     assert ceil_log2(Fraction(1, 3)) == -1
     assert ceil_log2(8) == 3
+    # Powers of two +- 1 at both signs of e, and long numerators and denominators,
+    # against the defining property 2^(e-1) < x <= 2^e.
+    values = [Fraction(2**k + s, 2**j) for k in range(0, 70, 7) for j in (0, 1, 33, 90)
+              for s in (-1, 0, 1) if 2**k + s > 0]
+    values += [Fraction(10**29 + 7, 3), Fraction(3, 10**29 + 7), Fraction(7**34, 5**42)]
+    for x in values:
+        e = ceil_log2(x)
+        assert Fraction(2) ** (e - 1) < x <= Fraction(2) ** e, x
     with pytest.raises(ValueError):
         ceil_log2(0)
 
