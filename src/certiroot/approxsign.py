@@ -49,25 +49,16 @@ def entry_classes(theta: Sequence, gamma) -> list[tuple[int, bool]]:
 def max_changes_of_classes(classes: Sequence[tuple[int, bool]]) -> int:
     """Exact maximum variation count over all completions.
 
-    Trusted entries pin their sign; a run of k free entries between trusted
-    signs s1, s2 contributes k+1 alternations when the parity works out
-    (s1 == s2 needs an even total, s1 != s2 an odd one) and k otherwise.
-    Leading/trailing free runs alternate freely: k entries give k changes.
-    With no trusted entry at all, n entries give n-1.
+    Free entries alternate freely, so n entries give at most n - 1 changes,
+    one per adjacent pair. Between consecutive trusted entries (i, s1) and
+    (j, s2) the j - i pairs must change an even number of times if s1 == s2
+    and an odd number if not: when the parity of j - i is the wrong one,
+    one change is lost, and only then.
     """
     trusted = [(i, sign) for i, (sign, small) in enumerate(classes) if not small]
-    n = len(classes)
-    if not trusted:
-        return n - 1
-    total = trusted[0][0] + (n - 1 - trusted[-1][0])
-    for (i, s1), (j, s2) in zip(trusted, trusted[1:]):
-        k = j - i - 1
-        best = k + 1
-        want_odd = s1 != s2
-        if (best % 2 == 1) != want_odd:
-            best -= 1
-        total += best
-    return total
+    return len(classes) - 1 - sum(
+        (j - i) % 2 == (s1 == s2) for (i, s1), (j, s2) in zip(trusted, trusted[1:])
+    )
 
 
 def min_changes_of_classes(classes: Sequence[tuple[int, bool]]) -> int:

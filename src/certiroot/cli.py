@@ -221,8 +221,9 @@ def cmd_intersect(args) -> dict:
     pa, _ = load_poly_file(args.a)
     pb, _ = load_poly_file(args.b)
     diff = pa - pb
-    if diff.is_zero() or diff.degree == 0:  # nothing to enumerate, so no gamma
-        result = rootenum.intersect(pa, pb, rootenum.PrecisionParams(args.precision, 1))
+    if diff.is_zero() or diff.degree == 0:  # nothing to enumerate: a flag is checked, not used
+        gamma = 1 if args.gamma is None else parse_fraction(args.gamma, "--gamma")
+        result = rootenum.intersect(pa, pb, rootenum.PrecisionParams(args.precision, gamma))
         fields = candidate_report(result, args.precision, (None, None, []))
     else:  # A's blocks do not describe A - B: gamma comes from --gamma or the default
         fields = enumerate_report(diff, {}, args.precision, args.gamma)

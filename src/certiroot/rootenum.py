@@ -166,18 +166,23 @@ class _ScaledChain:
     hw = 1) carries [a, V(m0), V(m1), t, a_0, bound >= sum_j |a_j|] for the
     centred form V(c + hw*u) = sum_j a_j u^j, a_j = b_j * hw^j with b_j the
     Taylor coefficients of V about c; t != 0 marks a pending a (_child_forms).
+
+    mirrored[idx] holds the Horner list of V(-m), the odd powers negated, so
+    that certified_off evaluates a range left of 0 as its mirror right of 0.
     """
 
     def __init__(self, chain, r: int, gamma: Fraction):
         s = 1 << r
         g_num, g_den = gamma.numerator, gamma.denominator
         self.polys = []  # (horner coeffs high->low as ints, lim int)
+        self.mirrored = []
         for p in chain:
             dens = math.lcm(*(c.denominator for c in p.coeffs))
             ints = [int(c * dens) for c in p.coeffs]
             k = len(ints) - 1
             horner = [ints[k - j] * s**j for j in range(k + 1)]
             self.polys.append((horner, -(-g_num * dens * s**k // g_den)))
+            self.mirrored.append([-h if (k - j) & 1 else h for j, h in enumerate(horner)])
         # Leaves pop left to right, so the only grid point classified twice
         # is the previous leaf's right end: keep just the latest result.
         self._last = (None, ())
@@ -214,11 +219,16 @@ class _ScaledChain:
            depth even around high-multiplicity roots. The sum lies between
            max(|V(m0)|, |V(m1)|), the form's values at the ends, and bound:
            only when these two leave the test open is the form settled.
-        3. Plain interval Horner over [m0, m1]: tight far from the roots.
-           Each step's [lo, hi] * [m0, m1] takes its ends at the corners.
-           Off zero, the sign of x fixes which y end gives the minimum and
-           which the maximum, and the sign of that end fixes the x end: two
-           products. A range holding 0 inside takes all four and min/max.
+        3. Plain interval Horner over [m0, m1] with m0 >= 0: tight far from
+           the roots. Each step's [lo, hi] * [m0, m1] takes its ends at the
+           corners, and as x >= 0 the sign of each y end picks its x end:
+           two products. A range with m1 <= 0 runs the same loop on V(-m)
+           over [-m1, -m0]; negation is exact, so the enclosure is V's.
+        Only the whole grid [-half, half] holds 0 inside: every other range
+        lies in one of its halves. There each step's product is
+        +-half * max(|lo|, |hi|), so step 3 would give c0 +- sum_{j>=1}
+        |a_j| and repeat step 2's exact test on the settled root form,
+        which has failed: such a range returns False before step 3.
         """
         _, v0, v1, _, c0, bound = form
         horner, lim = self.polys[idx]
@@ -229,19 +239,13 @@ class _ScaledChain:
             return True
         if 2 * c0 - max(abs(v0), abs(v1)) >= lim and 2 * c0 - sum(map(abs, _settle(form))) >= lim:
             return True
+        if m0 < 0 < m1:
+            return False
+        if m1 <= 0:
+            horner, m0, m1 = self.mirrored[idx], -m1, -m0
         lo = hi = horner[0]
-        if m0 >= 0:
-            for h in horner[1:]:
-                lo, hi = lo * (m0 if lo >= 0 else m1) + h, hi * (m1 if hi >= 0 else m0) + h
-        elif m1 <= 0:
-            for h in horner[1:]:
-                lo, hi = hi * (m0 if hi >= 0 else m1) + h, lo * (m1 if lo >= 0 else m0) + h
-        else:
-            for h in horner[1:]:
-                p1, p2 = lo * m0, lo * m1
-                p3, p4 = hi * m0, hi * m1
-                lo = min(p1, p2, p3, p4) + h
-                hi = max(p1, p2, p3, p4) + h
+        for h in horner[1:]:
+            lo, hi = lo * (m0 if lo >= 0 else m1) + h, hi * (m1 if hi >= 0 else m0) + h
         return lo >= lim or -hi >= lim
 
     def certified_small(self, idx: int, form: list) -> bool:

@@ -213,6 +213,28 @@ def test_intersect_constant_difference(capsys, poly_file):
     assert report["gamma"] is None
 
 
+def test_intersect_constant_difference_checks_the_gamma_flag(capsys, poly_file):
+    # (5 + x) - x = 5 is not enumerated, but a bad --gamma or --precision ends
+    # in the record `roots` gives on x; a good --gamma changes no byte.
+    a = poly_file("a.json", {"coeffs": ["5", "1"]})
+    b = poly_file("b.json", {"coeffs": ["0", "1"]})
+    for fmt in ("text", "json"):
+        _, plain = run(capsys, ["intersect", "--a", a, "--b", b, "--precision", "8",
+                                "--format", fmt])
+        for precision in ("8", "0"):
+            for flag in (["--gamma", "abc"], ["--gamma", "-1"], ["--gamma", "0"],
+                         ["--gamma", "1/64"], []):
+                args = ["--precision", precision, *flag, "--format", fmt]
+                code, out = run(capsys, ["intersect", "--a", a, "--b", b, *args])
+                roots_code, alone = run(capsys, ["roots", "--poly", b, *args])
+                if roots_code:
+                    assert (code, out) == (1, alone)
+                else:
+                    assert (code, out) == (0, plain)
+    _, out = run(capsys, ["intersect", "--a", a, "--b", a, "--precision", "8", "--gamma", "abc"])
+    assert out.startswith("error: ParseError")
+
+
 def test_intersect_ignores_blocks_that_certify_only_a(capsys, poly_file):
     # The blocks are true of A = 1000x^2 + 10^6, not of A - B = (x - 1/3)^2:
     # a floor derived from them fires 2,001 cells where roots' run fires 3.

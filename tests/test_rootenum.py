@@ -406,10 +406,12 @@ def test_inherited_forms_match_direct_shift_and_reference():
 def test_plain_interval_horner_on_both_sides_of_zero():
     """Where the exact values pass and the centred form leaves the test open,
     certified_off's answer is the plain interval Horner pass's. On ranges
-    with m0 >= 0 or m1 <= 0 (an end at 0 included) it takes two products per
-    step, and on ranges holding 0 inside four; each must give the
-    four-product reference's bool, and each must give both bools. gamma is
-    drawn so that lim falls in the window the centred form leaves open."""
+    with m0 >= 0 (an end at 0 included) it runs on V, and on ranges with
+    m1 <= 0 on V(-m) over the mirrored range; gamma is drawn so that lim
+    falls in the window the centred form leaves open. A range holding 0
+    inside is drawn symmetric, as the whole grid is, and lim on both sides
+    of its centred bound |a_0| - sum_{j>=1} |a_j|. Each side must give the
+    four-product reference's bool, and each must give both bools."""
     local = random.Random(0x2B0)
     outcomes = {side: set() for side in ("m0 >= 0", "m1 <= 0", "m0 < 0 < m1")}
     ends_at_zero = set()
@@ -421,13 +423,18 @@ def test_plain_interval_horner_on_both_sides_of_zero():
         near, width = local.randint(0, 60), local.randint(1, 60)
         side = local.choice(list(outcomes))
         m0, m1 = {"m0 >= 0": (near, near + width), "m1 <= 0": (-near - width, -near),
-                  "m0 < 0 < m1": (-width, near + 1)}[side]
+                  "m0 < 0 < m1": (-width, width)}[side]
         a, v0, v1 = _direct_form(horner, m0, m1)
         centred = 2 * abs(a[0]) - sum(map(abs, a))
-        if not (v0 > 0 < v1 or v0 < 0 > v1) or abs(a[0]) <= max(centred, 0):
-            continue  # the exact values decide at every lim
-        low, high = max(centred, 0) + 1, abs(a[0])
-        lim = local.choice((low, high, local.randint(low, high)))
+        if side == "m0 < 0 < m1":
+            if centred < 1:
+                continue  # no lim >= 1 certifies
+            lim = local.choice((centred, centred + 1, local.randint(1, 2 * centred)))
+        else:
+            if not (v0 > 0 < v1 or v0 < 0 > v1) or abs(a[0]) <= max(centred, 0):
+                continue  # the exact values decide at every lim
+            low, high = max(centred, 0) + 1, abs(a[0])
+            lim = local.choice((low, high, local.randint(low, high)))
         gamma = Fraction(lim, 1 << (r * deg))
         scaled = rootenum._ScaledChain([Polynomial(coeffs)], r, gamma)
         form = [a, v0, v1, 0, a[0], sum(map(abs, a))]
@@ -438,6 +445,37 @@ def test_plain_interval_horner_on_both_sides_of_zero():
         ends_at_zero.update(end for end, m in (("m0 == 0", m0), ("m1 == 0", m1)) if m == 0)
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
     assert ends_at_zero == {"m0 == 0", "m1 == 0"}
+
+
+def test_only_the_whole_grid_holds_zero_inside(monkeypatch):
+    """certified_off returns False on a range holding 0 inside before any
+    interval Horner pass. That prunes nothing the pass would: the descent
+    hands it no such range but the whole grid (-half, half), where the pass
+    is step 2's exact test on the settled root form."""
+    seen = []
+    original = rootenum._ScaledChain.certified_off
+
+    def spy(self, idx, m0, m1, form):
+        seen.append((m0, m1))
+        return original(self, idx, m0, m1, form)
+
+    monkeypatch.setattr(rootenum._ScaledChain, "certified_off", spy)
+    wilkinson10 = functools.reduce(lambda p, k: p * Polynomial([-k, 1]), range(1, 11),
+                                   Polynomial([1]))
+    cases = [
+        (Polynomial([-1, 3]), 4, Fraction(1, 16)),
+        (Polynomial([-2, 0, 1]), 6, Fraction(1, 64)),
+        (Polynomial([0, -1, 0, 1]), 5, Fraction(1, 2**15)),
+        (Polynomial([1, 0, 1]), 3, Fraction(1, 8)),
+        (wilkinson10, 3, Fraction(1, 2**30)),
+    ]
+    for poly, r, gamma in cases:
+        seen.clear()
+        grid = root_enum(poly, PrecisionParams(r=r, gamma=gamma))
+        half = grid.grid_bound << r
+        assert (-half, half) in seen
+        assert all(m0 >= 0 or m1 <= 0 for m0, m1 in seen if (m0, m1) != (-half, half))
+        assert any(m0 == 0 for m0, _ in seen) and any(m1 == 0 for _, m1 in seen)
 
 
 def test_taylor_shift_matches_binomial_definition():
