@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InvalidArgument, ThresholdNonPositive, echo
+from .sturm import sign_variations
 
 # An entry class is (sign, small): sign in {-1, 0, +1} is the exact sign of
 # the stored value, small means |value| < gamma (the sign is untrusted).
@@ -74,8 +75,7 @@ def min_changes_of_classes(classes: Sequence[tuple[int, bool]]) -> int:
     at most 2 (interior) or 1 (at an end), so peeling off the nonzero small
     entries one at a time never overshoots the subtraction budget.
     """
-    signs = [sign for sign, _ in classes if sign != 0]
-    count = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    count = sign_variations([sign for sign, _ in classes])
     last = len(classes) - 1
     for i, (sign, small) in enumerate(classes):
         if small and sign != 0:

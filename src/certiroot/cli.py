@@ -24,7 +24,10 @@ renders it: "key: value" lines (an error: "error: Type: message") or one JSON
 object. A CertirootError (a bad argument is InvalidArgument, also a ValueError)
 exits 1; its message echoes a bad value shortened (errors.echo), and a value
 past the int-to-str digit limit is a ParseError, raised before the descent for
-gamma, beta and the grid width. Negative rationals such as -1/2 are flag
+gamma, beta, grid_bound and the grid width. The limit also bounds a rational
+written with an exponent (its numerator and denominator) and the --precision
+of roots, intersect and bounds (2^r), each checked before the power is built;
+a limit of 0 lifts both. Negative rationals such as -1/2 are flag
 values. CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
 A reader that closes stdout early ends the run with status 1 and no traceback.
 Modules a subcommand alone needs (errbounds, spectrum) are imported where used,
@@ -42,7 +45,7 @@ from fractions import Fraction
 
 from . import rootenum, sturm
 from .errors import CertirootError, InvalidArgument, ParseError, echo
-from .polyalg import Polynomial, _nonconstant_degree
+from .polyalg import Polynomial, _fraction_from_str, _nonconstant_degree
 
 FORMAT_VERSION = 1
 DEFAULT_MAX_DEGREE = 64
@@ -71,10 +74,22 @@ def parse_fraction(text: str, what: str) -> Fraction:
         reason = ""
     else:
         try:
-            return Fraction(str(text))
+            return _fraction_from_str(str(text))
         except (ValueError, ZeroDivisionError) as exc:
             reason = f" ({exc})".replace(repr(text), echo(text))
     raise ParseError(f"bad rational for {what}: {echo(text)}{reason}")
+
+
+def precision_arg(args) -> int:
+    """--precision r of roots, intersect and bounds. Each of their reports holds a
+    denominator of at least 2^r, so above r_max, the largest r whose 2^r prints
+    within the digit limit (0: none), r is a ParseError before 2^r is built."""
+    r, limit = args.precision, sys.get_int_max_str_digits()
+    r_max = (10**limit).bit_length() - 1
+    if limit and r > r_max:
+        raise ParseError(f"--precision {echo(r)} exceeds {r_max}, above which 2^r "
+                         f"has over {limit} digits")
+    return r
 
 
 # -- input files -------------------------------------------------------------
@@ -184,7 +199,7 @@ def emit(report: dict, fmt: str) -> None:
 def candidate_report(result: rootenum.RootCandidateList, r: int, resolved: tuple) -> dict:
     """The fields `roots` and `intersect` share; `resolved` is resolve_gamma's triple."""
     gamma, source, warnings = resolved
-    return {
+    report = {
         "precision": r,
         "gamma": None if gamma is None else frac_str(gamma),
         "gamma_source": source,
@@ -199,6 +214,9 @@ def candidate_report(result: rootenum.RootCandidateList, r: int, resolved: tuple
             {"value": frac_str(q), "dyadic": dyadic_str(q)} for q in result.candidates
         ],
     }
+    if result.grid_bound:  # a raw int in the report: frac_str's test, before emit
+        frac_str(result.grid_bound)
+    return report
 
 
 # -- subcommands: each returns its own fields; main adds the envelope --------
@@ -214,19 +232,19 @@ def enumerate_report(poly: Polynomial, data: dict, r: int, flag_value) -> dict:
 
 def cmd_roots(args) -> dict:
     poly, data = load_poly_file(args.poly)
-    return {"degree": poly.degree, **enumerate_report(poly, data, args.precision, args.gamma)}
+    return {"degree": poly.degree, **enumerate_report(poly, data, precision_arg(args), args.gamma)}
 
 
 def cmd_intersect(args) -> dict:
     pa, _ = load_poly_file(args.a)
     pb, _ = load_poly_file(args.b)
-    diff = pa - pb
+    diff, r = pa - pb, precision_arg(args)
     if diff.is_zero() or diff.degree == 0:  # nothing to enumerate: a flag is checked, not used
         gamma = 1 if args.gamma is None else parse_fraction(args.gamma, "--gamma")
-        result = rootenum.intersect(pa, pb, rootenum.PrecisionParams(args.precision, gamma))
-        fields = candidate_report(result, args.precision, (None, None, []))
+        result = rootenum.intersect(pa, pb, rootenum.PrecisionParams(r, gamma))
+        fields = candidate_report(result, r, (None, None, []))
     else:  # A's blocks do not describe A - B: gamma comes from --gamma or the default
-        fields = enumerate_report(diff, {}, args.precision, args.gamma)
+        fields = enumerate_report(diff, {}, r, args.gamma)
     return {"difference_degree": diff.degree, **fields}
 
 
@@ -262,7 +280,7 @@ def cmd_bounds(args) -> dict:
 
     poly, _ = load_poly_file(args.poly)
     x = parse_fraction(args.point, "--point")
-    r = args.precision
+    r = precision_arg(args)
     ctx = errbounds.ApproxContext(r=r, d=max(poly.degree or 0, 1))
     return {
         "degree": poly.degree,

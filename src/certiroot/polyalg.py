@@ -12,12 +12,46 @@ is None.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Union
 
 from .errors import DegreeTooLow, DivisionByZeroPolynomial, InvalidArgument, echo
 
 Rat = Union[Fraction, int]
+
+# A trailing exponent as Fraction reads one: e, a sign, digits maybe grouped by _.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _fraction_from_str(text: str) -> Fraction:
+    """Fraction(text), with a value written with an exponent held to the rule a
+    digit string already meets: a numerator or denominator over
+    sys.get_int_max_str_digits() digits (0: no limit) is a ValueError. It is
+    raised before 10**exponent is built, which Fraction does with no bound."""
+    exp, limit = _EXPONENT.search(text), sys.get_int_max_str_digits()
+    if exp is None or not limit:
+        return Fraction(text)
+    # Every exponent digit made 0 keeps the syntax, so Fraction accepts this iff
+    # it accepts text; the value is the mantissa's.
+    try:
+        mantissa = Fraction(text[:exp.start(1)] + re.sub(r"\d", "0", exp[1]) + text[exp.end(1):])
+    except ValueError:
+        return Fraction(text)  # raises the same error, before any power is built
+    if not mantissa:
+        return mantissa
+    # The mantissa's parts are below 2^margin <= 10^margin, so past the margin
+    # 10**|power| leaves one part of the value over the limit; within it the
+    # power is cheap, and the value's parts are measured.
+    power = int(exp[1])
+    margin = max(abs(mantissa.numerator), mantissa.denominator).bit_length()
+    if abs(power) <= limit + margin:
+        value = mantissa * Fraction(10) ** power
+        if max(abs(value.numerator), value.denominator) < 10**limit:
+            return value
+    raise ValueError(f"a numerator or denominator over {limit} digits")
 
 
 def _as_fraction(value) -> Fraction:
@@ -27,7 +61,7 @@ def _as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _fraction_from_str(value)
         except (ValueError, ZeroDivisionError):
             raise InvalidArgument(f"not an exact rational: {echo(value)}") from None
     raise TypeError(f"not an exact rational: {echo(value)}")
@@ -106,13 +140,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return Polynomial(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -124,8 +152,6 @@ class Polynomial:
             return NotImplemented
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Polynomial(out)
@@ -162,7 +188,7 @@ def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
         quot[i - dq] = factor
         for j in range(dq + 1):
             rem[i - dq + j] -= factor * qc[j]
-    return Polynomial(quot), Polynomial(rem[:dq] if dq else [0])
+    return Polynomial(quot), Polynomial(rem[:dq])
 
 
 def euclid_rem(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -43,7 +43,7 @@ class BitSource:
 
     def __init__(self, bits):
         if isinstance(bits, str):
-            if bits and set(bits) - {"0", "1"}:
+            if set(bits) - {"0", "1"}:
                 raise InvalidArgument("bit string may contain only '0' and '1'")
             self._bits = bits
         else:
@@ -79,8 +79,8 @@ class StageSchedule(NamedTuple("StageSchedule", [("stages", tuple), ("s", Fracti
         if stages[0] != 2:
             raise InvalidArgument("the first stage boundary must be 2")
         for prev, nxt in zip(stages, stages[1:]):
-            if nxt < 2**prev:
-                raise InvalidArgument(f"stage boundary {echo(nxt)} < 2^{prev}")
+            if nxt >> prev < 1:  # nxt < 2^prev, negative nxt too, without building 2^prev
+                raise InvalidArgument(f"stage boundary {echo(nxt)} < 2^{echo(prev)}")
         s = _as_fraction(s)
         if not 0 <= s <= 1:
             raise InvalidArgument("s must lie in [0, 1]")
@@ -110,11 +110,10 @@ def default_schedule(j_max: int, s=Fraction(1, 2), max_bits: int = 2**20) -> Sta
         raise InvalidArgument("j_max must be >= 1")
     stages = [2]
     for _ in range(j_max - 1):
-        nxt = 2 ** stages[-1]
-        if nxt > max_bits:
+        if max_bits >> stages[-1] < 1:  # max_bits < 2^h, without building 2^h
             raise ScheduleOverflow(f"2^{stages[-1]} exceeds the {max_bits}-bit budget")
-        stages.append(nxt)
-    return StageSchedule(tuple(stages), _as_fraction(s))
+        stages.append(2 ** stages[-1])
+    return StageSchedule(stages, s)
 
 
 def _walk(sched: StageSchedule, d: int, n: int):
@@ -128,8 +127,6 @@ def _walk(sched: StageSchedule, d: int, n: int):
     """
     prev = 0
     for j, h in enumerate(sched.stages):
-        if prev >= n:
-            return
         first = max(sched.source_cut(j), prev) + 1  # first coefficient position
         for pos in range(prev + 1, min(h, n) + 1):
             if pos < first:

@@ -82,15 +82,8 @@ def _count_in(chain: SturmChain, a, b) -> int:
 def cauchy_bound(p: Polynomial) -> Fraction:
     """Cauchy's root bound beta = 1 + max_i |c_i / c_d|.
 
-    Every real root of p lies strictly inside (-beta, beta). For a lone
-    monomial the empty maximum is 0, giving beta = 1. Raises DegreeTooLow
-    below degree 1.
+    Every real root of p lies strictly inside (-beta, beta). Raises
+    DegreeTooLow below degree 1.
     """
     _nonconstant_degree(p, "Cauchy bound needs a non-constant polynomial")
-    lead = p.leading
-    worst = Fraction(0)
-    for c in p.coeffs[:-1]:
-        ratio = abs(c / lead)
-        if ratio > worst:
-            worst = ratio
-    return 1 + worst
+    return 1 + max(map(abs, p.coeffs[:-1])) / abs(p.leading)

@@ -420,11 +420,17 @@ def test_invalid_argument_is_both_kinds():
 
 
 X2 = {"coeffs": ["-2", "0", "1"]}
+BITS = {"y": "0101", "a": "0101"}
+SPECTRUM = ["spectrum", "--y-bits", "{y}", "--coeff-bits", "{a}", "--length", "4", "--stages"]
+# The largest precision whose 2^r prints within the default int-to-str digit
+# limit: (10**4300).bit_length() - 1.
+R_MAX = 14284
 
 # (expected error type, input files, argv with {name} standing for a file's
 # path, a word the message must contain[, environment variables]). Each of
-# these used to end in a traceback, a usage error or an uncapped echo
-# instead of an error record, or is the only input that reaches its raise.
+# these used to end in a traceback, a usage error, a hang, a MemoryError or
+# an uncapped echo instead of an error record, or is the only input that
+# reaches its raise.
 BAD_ARGUMENTS = {
     "roots-precision-0": (
         "InvalidArgument", {"p": X2M2}, ["roots", "--poly", "{p}", "--precision", "0"],
@@ -496,14 +502,45 @@ BAD_ARGUMENTS = {
         "ParseError", {"y": "0101", "a": "0101"},
         ["spectrum", "--y-bits", "{y}", "--coeff-bits", "{a}", "--stages", "2,x",
          "--length", "4"], "bad --stages: '2,x'"),
+    "exponent-coefficient": (
+        "ParseError", {"p": {"coeffs": ["1", "1e10000000"]}},
+        ["roots", "--poly", "{p}", "--precision", "4"], "coeffs[1]: '1e10000000' (a numerator"),
+    "exponent-gamma": (
+        "ParseError", {"p": X2},
+        ["roots", "--poly", "{p}", "--precision", "4", "--gamma", "1e-10000000"],
+        "bad rational for --gamma"),
+    "exponent-point": (
+        "ParseError", {"p": X2},
+        ["bounds", "--poly", "{p}", "--point", "1e10000000", "--precision", "4"], "--point"),
+    "exponent-interval": (
+        "ParseError", {"p": X2},
+        ["sturm", "--poly", "{p}", "--interval", "0", "1e1000000000"], "--interval"),
+    "stage-past-2^40": (
+        "InvalidArgument", BITS, SPECTRUM + ["2,40,1099511627776,1099511627777"],
+        "stage boundary 1099511627777 < 2^1099511627776"),
+    "stage-past-2^4000": (
+        "InvalidArgument", BITS, SPECTRUM + [f"2,4000,{2 ** 4000},7"],
+        "stage boundary 7 < 2^131820409343094310...2504575706910949376"),
+    "grid-bound-past-limit": (
+        "ParseError", {"p": {"coeffs": ["9" + "0" * 4299, "0", "1"]}},
+        ["roots", "--poly", "{p}", "--precision", "2"], "cannot print <14286-bit integer>"),
+    **{f"{command}-precision-{name}": (
+        "ParseError", {"p": X2, "q": {"coeffs": ["0"]}},
+        argv + ["--precision", str(r)], f"--precision {r} exceeds {R_MAX}")
+       for command, argv in (
+           ("roots", ["roots", "--poly", "{p}"]),
+           ("intersect", ["intersect", "--a", "{p}", "--b", "{q}"]),
+           ("bounds", ["bounds", "--poly", "{p}", "--point", "1"]))
+       for name, r in (("r_max+1", R_MAX + 1), ("10^23", 10**23))},
 }
 
 
+MAIN = "import sys; from certiroot.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 @pytest.mark.parametrize("case", BAD_ARGUMENTS)
-def test_bad_argument_is_an_error_record(capsys, monkeypatch, tmp_path, case):
+def test_bad_argument_is_an_error_record(run_limited, tmp_path, case):
     expected, files, argv, word, *env = BAD_ARGUMENTS[case]
-    for name, value in dict(*env).items():
-        monkeypatch.setenv(name, value)
     paths = {}
     for name, content in files.items():
         path = paths[name] = tmp_path / name
@@ -511,8 +548,10 @@ def test_bad_argument_is_an_error_record(capsys, monkeypatch, tmp_path, case):
             path.write_bytes(content)
         else:
             path.write_text(content if isinstance(content, str) else json.dumps(content))
-    code, out = run(capsys, [a.format(**paths) for a in argv] + ["--format", "json"])
-    assert code == 1
+    argv = [a.format(**paths) for a in argv] + ["--format", "json"]
+    proc = run_limited(MAIN, *argv, env=dict(*env))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    out = proc.stdout
     assert len(out) < 1000
     record = json.loads(out)
     assert record["format"] == 1
@@ -520,30 +559,53 @@ def test_bad_argument_is_an_error_record(capsys, monkeypatch, tmp_path, case):
     assert word in record["error"]["message"]
 
 
+# At R_MAX the precision is read as before: x^2 - 2's default gamma 2^-28568,
+# and the perturbation bound of `bounds`, still fail to print.
+AT_R_MAX = {
+    "roots": (["roots", "--poly", "{p}"], "cannot print 1/<28569-bit integer>"),
+    "intersect": (["intersect", "--a", "{p}", "--b", "{q}"], "cannot print 1/<28569-bit integer>"),
+    "bounds": (["bounds", "--poly", "{p}", "--point", "1"],
+               "cannot print <28572-bit integer>/<42853-bit integer>"),
+}
+
+
+@pytest.mark.parametrize("command", AT_R_MAX)
+def test_precision_r_max_is_read_as_before(run_limited, poly_file, command):
+    argv, message = AT_R_MAX[command]
+    paths = {"p": poly_file("p.json", X2), "q": poly_file("q.json", {"coeffs": ["0"]})}
+    proc = run_limited(MAIN, *[a.format(**paths) for a in argv], "--precision", str(R_MAX))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, f"error: ParseError: {message}: over 4300 digits\n", "")
+
+
 # Wilkinson's polynomial (x - 1)(x - 2)...(x - 10).
 W10 = {"coeffs": ["3628800", "-10628640", "12753576", "-8409500", "3416930", "-902055",
                   "157773", "-18150", "1320", "-55", "1"]}
 UNPRINTABLE = "ParseError: cannot print 1/<14401-bit integer>: over 4300 digits"
+PRECISION_PAST_LIMIT = ("ParseError: --precision 14400 exceeds 14284, above which 2^r has "
+                        "over 4300 digits")
 
 # Inputs whose report has a field past the int-to-str limit (the default
 # gamma 2^-14400, or the interval width 2^-14400), with the record each
-# gives. Each record comes back without a descent, and the errors of
-# PrecisionParams and of the degree checks still come before the print error.
+# gives. Each record comes back without a descent. A precision above 14284,
+# whose 2^-r cannot print, is refused as soon as it is read, before the errors
+# of PrecisionParams and of the degree checks.
 PRINT_BEFORE_DESCENT = {
     "roots-default-gamma": (["roots", "--poly", "{w}", "--precision", "1440"], UNPRINTABLE),
     "intersect-default-gamma": (
         ["intersect", "--a", "{w}", "--b", "{zero}", "--precision", "1440"], UNPRINTABLE),
     "intersect-constant-difference": (
-        ["intersect", "--a", "{five}", "--b", "{zero}", "--precision", "14400"], UNPRINTABLE),
+        ["intersect", "--a", "{five}", "--b", "{zero}", "--precision", "14400"],
+        PRECISION_PAST_LIMIT),
     "constant-with-gamma": (
         ["roots", "--poly", "{five}", "--precision", "14400", "--gamma", "1/3"],
-        "DegreeTooLow: root enumeration needs degree >= 1"),
+        PRECISION_PAST_LIMIT),
     "unresolved-leading": (
         ["roots", "--poly", "{small}", "--precision", "14400", "--gamma", "1"],
-        "DegreeUnresolved: |leading coefficient| = 1/1000 <= 2*gamma = 2"),
+        PRECISION_PAST_LIMIT),
     "zero-gamma": (
         ["roots", "--poly", "{small}", "--precision", "14400", "--gamma", "0"],
-        "ThresholdNonPositive: gamma must be > 0, got 0"),
+        PRECISION_PAST_LIMIT),
 }
 
 

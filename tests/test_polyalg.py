@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: construction, evaluation, division."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -76,13 +77,58 @@ def test_rejects_junk_coefficients():
     ids=["Polynomial", "PrecisionParams"],
 )
 @pytest.mark.parametrize(
-    "value", ["abc", "1/0", "", "7" * 5000], ids=["abc", "1/0", "empty", "5000-digits"]
+    "value", ["abc", "1/0", "", "7" * 5000, "1e4300", "3e-4300"],
+    ids=["abc", "1/0", "empty", "5000-digits", "4301-digit-numerator", "4301-digit-denominator"],
 )
 def test_bad_rational_string_is_invalid_argument(make, value):
     with pytest.raises(InvalidArgument, match="not an exact rational"):
         make(value)
     with pytest.raises(TypeError):  # a value that is not a rational type at all
         make(0.5)
+
+
+def test_exponent_is_checked_before_the_power_is_built(run_limited):
+    """Fraction builds 10**exponent with no bound: 1e10000000 takes ~10 s, and
+    1e1000000000 never ends. A zero mantissa stays 0 whatever its exponent."""
+    proc = run_limited(
+        "from certiroot import InvalidArgument, Polynomial\n"
+        "for text in ('1e10000000', '-1.5e-10000000', '1e1_000_000_000'):\n"
+        "    try:\n"
+        "        Polynomial([text])\n"
+        "    except InvalidArgument as exc:\n"
+        "        print(exc)\n"
+        "print(Polynomial(['0e99999999999', '-0.0E-99999999999', 1]).coeffs[0])\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "not an exact rational: '1e10000000'",
+        "not an exact rational: '-1.5e-10000000'",
+        "not an exact rational: '1e1_000_000_000'",
+        "0",
+    ]
+
+
+def test_exponent_parses_as_fraction_does_within_the_digit_limit():
+    """A value written with an exponent is Fraction(text) exactly when its
+    reduced numerator and denominator have at most 4300 digits; a limit of 0
+    lifts the check."""
+    r = random.Random(0xE4)
+    for _ in range(2000):
+        mantissa = r.choice(["", "-", "+", " "]) + str(r.randint(0, 10**r.randint(0, 8)))
+        mantissa += r.choice(["", ".", f".{r.randint(0, 999)}", "." + "0" * r.randint(0, 9) + "5"])
+        text = f"{mantissa}{r.choice('eE')}{r.choice(['', '-', '+'])}{r.randint(0, 4400)}"
+        value = Fraction(text)
+        if max(abs(value.numerator), value.denominator) < 10**4300:
+            assert Polynomial([text, 1]).coeffs[0] == value, text
+        else:
+            with pytest.raises(InvalidArgument):
+                Polynomial([text, 1])
+    assert Polynomial(["5e-4300", "1e4299"]).coeffs == (Fraction(1, 2 * 10**4299), 10**4299)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Polynomial(["1e4300"]).coeffs == (10**4300,)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_empty_coefficients_mean_zero():

@@ -73,9 +73,24 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         StageSchedule((2, 3), Fraction(1, 2))  # 3 < 2^2
     with pytest.raises(ValueError):
+        StageSchedule((2, 4, -5), Fraction(1, 2))  # -5 < 2^4
+    with pytest.raises(ValueError):
         StageSchedule((2, 4), Fraction(3, 2))  # s out of [0, 1]
     with pytest.raises(ValueError):
         StageSchedule((), Fraction(1, 2))
+
+
+def test_schedule_growth_is_checked_without_building_the_power(run_limited):
+    """2^(2^40) would take 128 GiB: the growth test compares by shifting."""
+    proc = run_limited(
+        "from certiroot import InvalidArgument, StageSchedule\n"
+        "print(StageSchedule((2, 40, 2**40), '1/2').stages[-1])\n"
+        "try:\n"
+        "    StageSchedule((2, 40, 2**40, 2**40 + 1), '1/2')\n"
+        "except InvalidArgument as exc:\n"
+        "    print(exc)\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "1099511627776\nstage boundary 1099511627777 < 2^1099511627776\n"
 
 
 def test_schedule_helpers():
@@ -96,6 +111,10 @@ def test_default_schedule_overflow():
     with pytest.raises(ScheduleOverflow):
         default_schedule(5)  # next boundary would be 2^65536
     assert default_schedule(5, max_bits=2**65536).stages[-1] == 2**65536
+    assert default_schedule(3, max_bits=16).stages == (2, 4, 16)
+    for max_bits in (15, 0, -1):
+        with pytest.raises(ScheduleOverflow):
+            default_schedule(3, max_bits=max_bits)
     with pytest.raises(ValueError):
         default_schedule(0)
 
