@@ -342,8 +342,9 @@ COMMANDS = (
      "--y-bits --coeff-bits --stages --s --length"),
 )
 
-# argparse takes "-1/2" for an option; like "-3" and "-.5", it is a value here.
-NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# argparse takes "-1/2" or "-1e-4" for an option. Any "-" then a digit, or "."
+# and a digit, is a value here; parse_fraction accepts it or makes the record.
+NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,6 +43,7 @@ bit-identical to the full sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -104,15 +105,40 @@ def ceil_log2(x) -> int:
     return ((n - 1) // d).bit_length() if n > d else 1 - (d // n).bit_length()
 
 
+# Longest coefficient list that gets a generated kernel. A kernel of length
+# n has n(n - 1)/2 statements: compiling both signs' takes ~2 ms at n = 21
+# but ~70 ms at n = 129, and compiling one of n = 257 peaks near 60 MB.
+_KERNEL_CAP = 24
+
+
+@functools.cache
+def _shift_kernel(n: int, add: bool):
+    """_taylor_shift's loop for n coefficients, written out as one function of
+    c0..c{n-1} that returns the shifted list: the same adds (or subtracts) in
+    the same order, on locals instead of list items."""
+    op = "+=" if add else "-="
+    names = ", ".join(f"c{j}" for j in range(n))
+    body = [f"    c{j} {op} c{j + 1}" for i in range(n - 1) for j in range(n - 2, i - 1, -1)]
+    namespace = {}
+    exec(compile("\n".join([f"def kernel({names}):", *body, f"    return [{names}]"]),
+                 f"<taylor shift, {n} coefficients>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _taylor_shift(c: list, t: int) -> list:
     """Coefficients (low to high) of sum_j c_j (u + t)^j for t = +1 or -1.
 
-    In-place synthetic division on a copy of c: round i divides the quotient
-    held in positions i.. by (u - t) and leaves the remainder in position i,
-    so t = -1 subtracts where t = +1 adds. c itself is not changed; both
-    halves' pending forms share it.
+    Synthetic division: round i divides the quotient held in positions i..
+    by (u - t) and leaves the remainder in position i, so t = -1 subtracts
+    where t = +1 adds. Up to _KERNEL_CAP coefficients this runs as one
+    straight-line kernel per length and sign, generated once; a longer list
+    runs the loop in place on a copy. c itself is not changed; both halves'
+    pending forms share it.
     """
-    c, n = list(c), len(c)
+    n = len(c)
+    if n <= _KERNEL_CAP:
+        return _shift_kernel(n, t > 0)(*c)
+    c = list(c)
     if t > 0:
         for i in range(n - 1):
             for j in range(n - 2, i - 1, -1):

@@ -297,6 +297,20 @@ def test_sturm_endpoint_root(capsys, poly_file):
     assert "EndpointIsRoot" in out
 
 
+@pytest.mark.parametrize("written, plain", [
+    (["bounds", "--point", "-1e-4", "--precision", "8"],
+     ["bounds", "--point", "-1/10000", "--precision", "8"]),
+    (["sturm", "--interval", "-1E-2", "1"], ["sturm", "--interval", "-1/100", "1"]),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_negative_value_with_an_exponent_is_a_value(capsys, poly_file, written, plain, fmt):
+    """argparse would take "-1e-4" for an option and exit 2 with a usage error."""
+    path = poly_file("p.json", {"coeffs": ["-2", "0", "1"]})
+    code, out = run(capsys, written + ["--poly", path, "--format", fmt])
+    assert (code, out) == run(capsys, plain + ["--poly", path, "--format", fmt])
+    assert code == 0
+
+
 # --- bounds -----------------------------------------------------------------
 
 
@@ -472,6 +486,9 @@ BAD_ARGUMENTS = {
     "negative-rational-gamma": (
         "ThresholdNonPositive", {"p": X2M2},
         ["roots", "--poly", "{p}", "--precision", "4", "--gamma", "-1/2"], "-1/2"),
+    "negative-gamma-with-exponent": (
+        "ThresholdNonPositive", {"p": X2M2},
+        ["roots", "--poly", "{p}", "--precision", "4", "--gamma", "-3.E-5"], "got -3/100000"),
     "over-long-coefficient-string": (
         "ParseError", {"p": {"coeffs": ["1", "7" * 5000]}},
         ["roots", "--poly", "{p}", "--precision", "4"], "coeffs[1]"),

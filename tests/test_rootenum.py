@@ -480,10 +480,11 @@ def test_only_the_whole_grid_holds_zero_inside(monkeypatch):
 
 def test_taylor_shift_matches_binomial_definition():
     """_taylor_shift(c, t) is sum_j c_j (u + t)^j for t = +-1, over lengths
-    1..24 and signed coefficients of up to 2,000 bits, zeros included, and
-    leaves c as it was."""
+    1..25, 40 and 65, on both sides of the kernel cap, and signed
+    coefficients of up to 2,000 bits, zeros included, and leaves c as it was."""
     local = random.Random(0x7A1)
-    for n in range(1, 25):
+    assert rootenum._KERNEL_CAP == 24
+    for n in (*range(1, 26), 40, 65):
         for t in (1, -1):
             for _ in range(4):
                 c = [local.choice([0, 1, -1]) * local.getrandbits(local.randint(1, 2000))
@@ -493,6 +494,17 @@ def test_taylor_shift_matches_binomial_definition():
                             for i in range(n)]
                 assert rootenum._taylor_shift(c, t) == expected
                 assert c == before
+
+
+def test_taylor_shift_above_the_cap_generates_no_kernel():
+    cap = rootenum._KERNEL_CAP
+    rootenum._shift_kernel.cache_clear()
+    for n in (cap + 1, 65):
+        for t in (1, -1):
+            rootenum._taylor_shift([1] * n, t)
+    assert rootenum._shift_kernel.cache_info().currsize == 0
+    rootenum._taylor_shift([1] * cap, 1)
+    assert rootenum._shift_kernel.cache_info().currsize == 1
 
 
 def test_certified_small_needs_both_halves_of_its_test():
