@@ -28,7 +28,9 @@ gamma, beta, grid_bound and the grid width. The limit also bounds a rational
 written with an exponent (its numerator and denominator) and the --precision
 of roots, intersect and bounds (2^r), each checked before the power is built;
 a limit of 0 lifts both. Negative rationals such as -1/2 are flag
-values. CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
+values. --precision and --length are read by int() where a command reads
+them, so a bad value is a ParseError record, not a usage error.
+CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
 A reader that closes stdout early ends the run with status 1 and no traceback.
 Modules a subcommand alone needs (errbounds, spectrum) are imported where used,
 so a `roots` run without a separation block does not load them.
@@ -80,11 +82,19 @@ def parse_fraction(text: str, what: str) -> Fraction:
     raise ParseError(f"bad rational for {what}: {echo(text)}{reason}")
 
 
+def int_arg(text: str, flag: str) -> int:
+    """An integer flag's value as int() reads it; a bad one is a ParseError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {flag}: {echo(text)}") from None
+
+
 def precision_arg(args) -> int:
     """--precision r of roots, intersect and bounds. Each of their reports holds a
     denominator of at least 2^r, so above r_max, the largest r whose 2^r prints
     within the digit limit (0: none), r is a ParseError before 2^r is built."""
-    r, limit = args.precision, sys.get_int_max_str_digits()
+    r, limit = int_arg(args.precision, "--precision"), sys.get_int_max_str_digits()
     r_max = (10**limit).bit_length() - 1
     if limit and r > r_max:
         raise ParseError(f"--precision {echo(r)} exceeds {r_max}, above which 2^r "
@@ -303,12 +313,13 @@ def cmd_spectrum(args) -> dict:
     sched = spectrum.StageSchedule(stages, parse_fraction(args.s, "--s"))
     y = spectrum.BitSource(load_bits_file(args.y_bits))
     coeff_sources = [spectrum.BitSource(load_bits_file(p)) for p in args.coeff_bits]
-    bits = spectrum.interleave(y, coeff_sources, sched, args.length)
+    length = int_arg(args.length, "--length")
+    bits = spectrum.interleave(y, coeff_sources, sched, length)
     return {
         "stages": ",".join(str(h) for h in sched.stages),
         "s": frac_str(sched.s),
         "d": len(coeff_sources),
-        "length": args.length,
+        "length": length,
         "bits": bits,
     }
 
@@ -320,7 +331,7 @@ FLAGS = {
     "--poly": {"required": True},
     "--a": {"required": True},
     "--b": {"required": True},
-    "--precision": {"type": int, "required": True},
+    "--precision": {"required": True},
     "--gamma": {},
     "--interval": {"nargs": 2, "action": "append", "metavar": ("A", "B")},
     "--point": {"required": True},
@@ -329,7 +340,7 @@ FLAGS = {
                      "help": "one file per coefficient source a_1..a_d, in order"},
     "--stages": {"required": True, "help": "comma-separated boundaries, e.g. 2,4,16"},
     "--s": {"default": "1/2"},
-    "--length": {"type": int, "required": True},
+    "--length": {"required": True},
     "--format": {"choices": ("text", "json"), "default": "text"},
 }
 

@@ -37,8 +37,10 @@ form, derived from the parent's by x -> (x +- 1)/2 with bit shifts,
 additions and subtractions only (the bisection step of Collins-Akritas and
 Rouillier-Zimmermann). A half is shifted only when it is split, or when its
 exact centre value and two O(d) bounds on its coefficient sum leave its
-certification open. Ranges pop left to right, so the pruned result is
-bit-identical to the full sweep.
+certification open. The shift and the split run as straight-line kernels
+generated once per coefficient count on first use: the O(d^2) shift up to
+_KERNEL_CAP coefficients, the O(d) split at every length. Ranges pop left to
+right, so the pruned result is bit-identical to the full sweep.
 """
 
 from __future__ import annotations
@@ -105,9 +107,10 @@ def ceil_log2(x) -> int:
     return ((n - 1) // d).bit_length() if n > d else 1 - (d // n).bit_length()
 
 
-# Longest coefficient list that gets a generated kernel. A kernel of length
-# n has n(n - 1)/2 statements: compiling both signs' takes ~2 ms at n = 21
-# but ~70 ms at n = 129, and compiling one of n = 257 peaks near 60 MB.
+# Longest coefficient list that gets a generated shift kernel. A shift kernel
+# of length n has n(n - 1)/2 statements: compiling both signs' takes ~2 ms at
+# n = 21 but ~70 ms at n = 129, and compiling one of n = 257 peaks near 60 MB.
+# A split kernel has O(n) statements, so every length gets one.
 _KERNEL_CAP = 24
 
 
@@ -157,6 +160,36 @@ def _settle(form: list) -> list:
     return form[0]
 
 
+@functools.cache
+def _split_kernel(n: int):
+    """_child_forms' body for a settled list a of n coefficients, written out
+    as one function of a, v0, v1 and wide = width > 2 on locals a0..a{n-1}:
+    the same bound, rescale, sums and forms, with a shared by both halves."""
+    names = [f"a{j}" for j in range(n)]
+
+    def total(target, terms):  # 64 terms a statement: longer sums nest too deep to compile
+        chunks = [" + ".join(terms[i:i + 64]) for i in range(0, len(terms), 64)] or ["0"]
+        return [f"    {target} = {chunks[0]}", *(f"    {target} += {c}" for c in chunks[1:])]
+
+    lines = [
+        "def kernel(a, v0, v1, wide):",
+        f"    {', '.join(names)}, = a",
+        "    if wide:",
+        *("    " + line for line in total("bound", [f"abs({x})" for x in names])),
+        *(f"        a{j} >>= {j}" for j in range(1, n)),
+        f"        a = [{', '.join(names)}]",
+        "    else:",
+        *("    " + line for line in total("bound", [f"(abs(a{j}) << {j})" for j in range(n)])),
+        *total("even", names[::2]),
+        *total("odd", names[1::2]),
+        "    left = [a, v0, a0, -1, even - odd, bound]",
+        "    return left, [a, a0, v1, 1, even + odd, bound] if wide else [a, a0, v1, 0, a0, bound]",
+    ]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<split, {n} coefficients>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _child_forms(form: list, width: int) -> tuple:
     """Pending forms of the left and right halves of a range of this width.
 
@@ -167,15 +200,11 @@ def _child_forms(form: list, width: int) -> tuple:
     cell its form. The parent's a_0 = V(c) is the shared endpoint value.
     The shift waits for _settle: c0, the half's a_0, is the scaled form at
     t = -+1, and its sum |a_i| <= bound = sum_j |a_j| 2^j, as sum_i C(j, i) = 2^j.
+    The rest runs as one straight-line kernel per length, generated once;
+    both halves share one coefficient list, and the parent's is not changed.
     """
-    a, v0, v1 = _settle(form), form[1], form[2]
-    if width > 2:
-        bound, a = sum(map(abs, a)), [x >> j for j, x in enumerate(a)]
-    else:
-        bound = sum(abs(x) << j for j, x in enumerate(a))
-    even, odd = sum(a[::2]), sum(a[1::2])
-    right = [a, a[0], v1, 1, even + odd, bound] if width > 2 else [a, a[0], v1, 0, a[0], bound]
-    return [a, v0, a[0], -1, even - odd, bound], right
+    a = _settle(form)
+    return _split_kernel(len(a))(a, form[1], form[2], width > 2)
 
 
 class _ScaledChain:

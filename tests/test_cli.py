@@ -440,6 +440,25 @@ SPECTRUM = ["spectrum", "--y-bits", "{y}", "--coeff-bits", "{a}", "--length", "4
 # limit: (10**4300).bit_length() - 1.
 R_MAX = 14284
 
+# A value of an integer flag that int() refuses, in BAD_ARGUMENTS's form.
+INTEGER_FLAG_VALUES = {
+    "roots-precision-not-an-integer": (
+        "ParseError", {"p": X2}, ["roots", "--poly", "{p}", "--precision", "abc"],
+        "bad --precision: 'abc'"),
+    "roots-precision-exponent": (
+        "ParseError", {"p": X2}, ["roots", "--poly", "{p}", "--precision", "3e2"],
+        "bad --precision: '3e2'"),
+    "intersect-precision-fraction": (
+        "ParseError", {"p": X2, "q": {"coeffs": ["0"]}},
+        ["intersect", "--a", "{p}", "--b", "{q}", "--precision", "1.5"], "bad --precision: '1.5'"),
+    "bounds-precision-empty": (
+        "ParseError", {"p": X2}, ["bounds", "--poly", "{p}", "--point", "1", "--precision", ""],
+        "bad --precision: ''"),
+    "spectrum-length-not-an-integer": (
+        "ParseError", BITS, ["spectrum", "--y-bits", "{y}", "--coeff-bits", "{a}", "--stages",
+                             "2,4", "--length", "abc"], "bad --length: 'abc'"),
+}
+
 # (expected error type, input files, argv with {name} standing for a file's
 # path, a word the message must contain[, environment variables]). Each of
 # these used to end in a traceback, a usage error, a hang, a MemoryError or
@@ -541,6 +560,7 @@ BAD_ARGUMENTS = {
     "grid-bound-past-limit": (
         "ParseError", {"p": {"coeffs": ["9" + "0" * 4299, "0", "1"]}},
         ["roots", "--poly", "{p}", "--precision", "2"], "cannot print <14286-bit integer>"),
+    **INTEGER_FLAG_VALUES,
     **{f"{command}-precision-{name}": (
         "ParseError", {"p": X2, "q": {"coeffs": ["0"]}},
         argv + ["--precision", str(r)], f"--precision {r} exceeds {R_MAX}")
@@ -555,9 +575,9 @@ BAD_ARGUMENTS = {
 MAIN = "import sys; from certiroot.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-@pytest.mark.parametrize("case", BAD_ARGUMENTS)
-def test_bad_argument_is_an_error_record(run_limited, tmp_path, case):
-    expected, files, argv, word, *env = BAD_ARGUMENTS[case]
+def run_bad_argument(run_limited, tmp_path, case, fmt):
+    """BAD_ARGUMENTS[case] run in a limited child with --format fmt."""
+    _, files, argv, _, *env = BAD_ARGUMENTS[case]
     paths = {}
     for name, content in files.items():
         path = paths[name] = tmp_path / name
@@ -565,8 +585,14 @@ def test_bad_argument_is_an_error_record(run_limited, tmp_path, case):
             path.write_bytes(content)
         else:
             path.write_text(content if isinstance(content, str) else json.dumps(content))
-    argv = [a.format(**paths) for a in argv] + ["--format", "json"]
-    proc = run_limited(MAIN, *argv, env=dict(*env))
+    argv = [a.format(**paths) for a in argv] + ["--format", fmt]
+    return run_limited(MAIN, *argv, env=dict(*env))
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_argument_is_an_error_record(run_limited, tmp_path, case):
+    expected, _, _, word, *_ = BAD_ARGUMENTS[case]
+    proc = run_bad_argument(run_limited, tmp_path, case, "json")
     assert (proc.returncode, proc.stderr) == (1, "")
     out = proc.stdout
     assert len(out) < 1000
@@ -574,6 +600,29 @@ def test_bad_argument_is_an_error_record(run_limited, tmp_path, case):
     assert record["format"] == 1
     assert record["error"]["type"] == expected
     assert word in record["error"]["message"]
+
+
+@pytest.mark.parametrize("case", INTEGER_FLAG_VALUES)
+def test_bad_integer_flag_value_is_a_text_record(run_limited, tmp_path, case):
+    """argparse no longer converts --precision and --length, so a bad value is
+    the same record in text as in json, and never a usage error (exit 2)."""
+    expected, _, _, message = INTEGER_FLAG_VALUES[case]
+    proc = run_bad_argument(run_limited, tmp_path, case, "text")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, f"error: {expected}: {message}\n", "")
+
+
+@pytest.mark.parametrize("value", ["+4", " 4 ", "0_4", "04"])
+def test_integer_flags_read_every_value_int_reads(capsys, poly_file, tmp_path, value):
+    """--precision and --length take every value int() takes, as argparse's
+    type=int did, and read it as int() reads it."""
+    p = poly_file("p.json", X2)
+    bits = tmp_path / "bits"
+    bits.write_text("0101")
+    for argv in (["roots", "--poly", p, "--precision"], ["bounds", "--poly", p, "--point", "1",
+                 "--precision"], ["spectrum", "--y-bits", str(bits), "--coeff-bits", str(bits),
+                                  "--stages", "2,4", "--length"]):
+        assert run(capsys, argv + [value]) == run(capsys, argv + ["4"])
+        assert run(capsys, argv + [value])[0] == 0
 
 
 # At R_MAX the precision is read as before: x^2 - 2's default gamma 2^-28568,

@@ -507,6 +507,56 @@ def test_taylor_shift_above_the_cap_generates_no_kernel():
     assert rootenum._shift_kernel.cache_info().currsize == 1
 
 
+def _reference_child_forms(form, width):
+    """_child_forms as a loop over the settled list: the reference for its kernel."""
+    a, v0, v1 = rootenum._settle(form), form[1], form[2]
+    if width > 2:
+        bound, a = sum(map(abs, a)), [x >> j for j, x in enumerate(a)]
+    else:
+        bound = sum(abs(x) << j for j, x in enumerate(a))
+    even, odd = sum(a[::2]), sum(a[1::2])
+    right = [a, a[0], v1, 1, even + odd, bound] if width > 2 else [a, a[0], v1, 0, a[0], bound]
+    return [a, v0, a[0], -1, even - odd, bound], right
+
+
+def test_child_forms_match_the_list_code():
+    """_child_forms' kernel gives the list code's two forms over lengths 1..25,
+    40, 65 and 300, widths 2, 4 and 8, pending t in {-1, 0, +1} and signed
+    coefficients of up to 2,000 bits, zeros included, a_j divisible by 2^j at
+    width > 2. The parent's list is left as it was, its form is settled as the
+    list code settles it, and both halves share one list."""
+    local = random.Random(0x5B1)
+    for n in (*range(1, 26), 40, 65, 300):
+        for width in (2, 4, 8):
+            for t in (-1, 0, 1):
+                c = [local.choice([0, 1, -1]) * local.getrandbits(local.randint(1, 2000)) << j
+                     for j in range(n)]
+                v0, v1 = local.getrandbits(64) - (1 << 63), local.getrandbits(64) - (1 << 63)
+                form, expected_form = [c, v0, v1, t, 0, 0], [list(c), v0, v1, t, 0, 0]
+                before = list(c)
+                left, right = rootenum._child_forms(form, width)
+                assert [left, right] == list(_reference_child_forms(expected_form, width))
+                assert form == expected_form and c == before
+                assert left[0] is right[0]
+
+
+def test_split_kernels_are_generated_lazily(run_limited):
+    """Importing rootenum generates no kernel, so neither set-up nor a CLI
+    child pays for lengths it never splits; one split of a pending form of
+    length n generates the split and shift kernels of length n alone."""
+    code = (
+        "from certiroot import rootenum\n"
+        "split, shift = rootenum._split_kernel, rootenum._shift_kernel\n"
+        "assert split.cache_info().currsize == shift.cache_info().currsize == 0\n"
+        "rootenum._child_forms([[4, 6, 8, 16, 32, 64, 128], 1, 2, 1, 0, 0], 8)\n"
+        "assert split.cache_info().currsize == shift.cache_info().currsize == 1\n"
+        "split(7), shift(7, True)\n"
+        "assert split.cache_info().hits == shift.cache_info().hits == 1\n"
+    )
+    proc = run_limited(code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_certified_small_needs_both_halves_of_its_test():
     """P = 100 + 40x - 40x^3 over [-1, 1] (r = 2, so u = x): P is 100 at
     both ends and the centre, but 115 at x = 1/2, and 10 + P - 100 is -5 at
