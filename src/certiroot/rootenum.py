@@ -37,10 +37,10 @@ form, derived from the parent's by x -> (x +- 1)/2 with bit shifts,
 additions and subtractions only (the bisection step of Collins-Akritas and
 Rouillier-Zimmermann). A half is shifted only when it is split, or when its
 exact centre value and two O(d) bounds on its coefficient sum leave its
-certification open. The shift and the split run as straight-line kernels
-generated once per coefficient count on first use: the O(d^2) shift up to
-_KERNEL_CAP coefficients, the O(d) split at every length. Ranges pop left to
-right, so the pruned result is bit-identical to the full sweep.
+certification open. The O(d^2) shift is generated once per length and sign,
+written out up to _KERNEL_CAP coefficients and a loop above; the O(d) split,
+which settles its own form, is written out once per length. Ranges pop left
+to right, so the pruned result is bit-identical to the full sweep.
 """
 
 from __future__ import annotations
@@ -107,25 +107,36 @@ def ceil_log2(x) -> int:
     return ((n - 1) // d).bit_length() if n > d else 1 - (d // n).bit_length()
 
 
-# Longest coefficient list that gets a generated shift kernel. A shift kernel
-# of length n has n(n - 1)/2 statements: compiling both signs' takes ~2 ms at
-# n = 21 but ~70 ms at n = 129, and compiling one of n = 257 peaks near 60 MB.
-# A split kernel has O(n) statements, so every length gets one.
+# Longest coefficient list whose shift is written out, as n(n - 1)/2
+# statements: compiling both signs' takes ~2 ms at n = 21 but ~70 ms at
+# n = 129, and one of n = 257 peaks near 60 MB. A split has O(n) statements.
 _KERNEL_CAP = 24
 
 
-@functools.cache
-def _shift_kernel(n: int, add: bool):
-    """_taylor_shift's loop for n coefficients, written out as one function of
-    c0..c{n-1} that returns the shifted list: the same adds (or subtracts) in
-    the same order, on locals instead of list items."""
-    op = "+=" if add else "-="
-    names = ", ".join(f"c{j}" for j in range(n))
-    body = [f"    c{j} {op} c{j + 1}" for i in range(n - 1) for j in range(n - 2, i - 1, -1)]
-    namespace = {}
-    exec(compile("\n".join([f"def kernel({names}):", *body, f"    return [{names}]"]),
-                 f"<taylor shift, {n} coefficients>", "exec"), namespace)
+def _compile(name: str, lines: list, **namespace):
+    """The function `kernel` that lines define, with namespace as its globals."""
+    exec(compile("\n".join(lines), name, "exec"), namespace)
     return namespace["kernel"]
+
+
+@functools.cache
+def _shifts(n: int) -> tuple:
+    """(None, shift by +1, shift by -1) of n coefficients, indexed by t: the
+    kernels of _taylor_shift. Up to _KERNEL_CAP coefficients each is its loop
+    written out on locals c0..c{n-1}, the same adds (or subtracts) in the same
+    order; above, each runs the loop on a copy."""
+    names = ", ".join(f"c{j}" for j in range(n))
+    kernels = [None]
+    for op in "+-":
+        if n <= _KERNEL_CAP:
+            steps = (f"c{j} {op}= c{j + 1}" for i in range(n - 1) for j in range(n - 2, i - 1, -1))
+            body = [f"{names}, = c", *steps, f"return [{names}]"]
+        else:
+            body = ["c = list(c)", f"for i in range({n - 1}):",
+                    f"    for j in range({n - 2}, i - 1, -1):", f"        c[j] {op}= c[j + 1]", "return c"]
+        lines = ["def kernel(c):", *("    " + line for line in body)]
+        kernels.append(_compile(f"<taylor shift, {n} coefficients, t = {op}1>", lines))
+    return tuple(kernels)
 
 
 def _taylor_shift(c: list, t: int) -> list:
@@ -133,24 +144,10 @@ def _taylor_shift(c: list, t: int) -> list:
 
     Synthetic division: round i divides the quotient held in positions i..
     by (u - t) and leaves the remainder in position i, so t = -1 subtracts
-    where t = +1 adds. Up to _KERNEL_CAP coefficients this runs as one
-    straight-line kernel per length and sign, generated once; a longer list
-    runs the loop in place on a copy. c itself is not changed; both halves'
-    pending forms share it.
+    where t = +1 adds. It runs as the kernel of c's length and t's sign (see
+    _shifts). c itself is not changed; both halves' pending forms share it.
     """
-    n = len(c)
-    if n <= _KERNEL_CAP:
-        return _shift_kernel(n, t > 0)(*c)
-    c = list(c)
-    if t > 0:
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                c[j] += c[j + 1]
-    else:
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                c[j] -= c[j + 1]
-    return c
+    return _shifts(len(c))[t](c)
 
 
 def _settle(form: list) -> list:
@@ -162,9 +159,20 @@ def _settle(form: list) -> list:
 
 @functools.cache
 def _split_kernel(n: int):
-    """_child_forms' body for a settled list a of n coefficients, written out
-    as one function of a, v0, v1 and wide = width > 2 on locals a0..a{n-1}:
-    the same bound, rescale, sums and forms, with a shared by both halves."""
+    """Pending forms of the left and right halves of a range whose form has n
+    coefficients: a function of (form, wide = width > 2).
+
+    A half of width >= 2 has hw/2 and centre c -+ hw/2, so its form is
+    sum_j (a_j / 2^j)(u -+ 1)^j, exact because a_j carries hw^j, hw >= 2.
+    A unit cell is centred on its left end with hw = 1, as a width-2 range
+    is on m0 + 1, whose left cell is thus its form shifted by -1 and right
+    cell its form. The parent's a_0 = V(c) is the shared endpoint value.
+    Each half's shift waits for _settle: c0, its a_0, is the scaled form at
+    t = -+1, and its sum |a_i| <= bound = sum_j |a_j| 2^j, as sum_i C(j, i) = 2^j.
+    Generated once per length, on locals a0..a{n-1}: a pending form is
+    settled in place first, as _settle does, by its length's shift kernel;
+    both halves share one coefficient list, and the parent's is not changed.
+    """
     names = [f"a{j}" for j in range(n)]
 
     def total(target, terms):  # 64 terms a statement: longer sums nest too deep to compile
@@ -172,7 +180,11 @@ def _split_kernel(n: int):
         return [f"    {target} = {chunks[0]}", *(f"    {target} += {c}" for c in chunks[1:])]
 
     lines = [
-        "def kernel(a, v0, v1, wide):",
+        "def kernel(form, wide):",
+        "    a, v0, v1, t, _, _ = form",
+        "    if t:",
+        "        a = form[0] = shifts[t](a)",
+        "        form[3] = 0",
         f"    {', '.join(names)}, = a",
         "    if wide:",
         *("    " + line for line in total("bound", [f"abs({x})" for x in names])),
@@ -185,26 +197,7 @@ def _split_kernel(n: int):
         "    left = [a, v0, a0, -1, even - odd, bound]",
         "    return left, [a, a0, v1, 1, even + odd, bound] if wide else [a, a0, v1, 0, a0, bound]",
     ]
-    namespace = {}
-    exec(compile("\n".join(lines), f"<split, {n} coefficients>", "exec"), namespace)
-    return namespace["kernel"]
-
-
-def _child_forms(form: list, width: int) -> tuple:
-    """Pending forms of the left and right halves of a range of this width.
-
-    A half of width >= 2 has hw/2 and centre c -+ hw/2, so its form is
-    sum_j (a_j / 2^j)(u -+ 1)^j, exact because a_j carries hw^j, hw >= 2.
-    A unit cell is centred on its left end with hw = 1, as a width-2 range
-    is on m0 + 1, whose left cell is thus its form shifted by -1 and right
-    cell its form. The parent's a_0 = V(c) is the shared endpoint value.
-    The shift waits for _settle: c0, the half's a_0, is the scaled form at
-    t = -+1, and its sum |a_i| <= bound = sum_j |a_j| 2^j, as sum_i C(j, i) = 2^j.
-    The rest runs as one straight-line kernel per length, generated once;
-    both halves share one coefficient list, and the parent's is not changed.
-    """
-    a = _settle(form)
-    return _split_kernel(len(a))(a, form[1], form[2], width > 2)
+    return _compile(f"<split, {n} coefficients>", lines, shifts=_shifts(n))
 
 
 class _ScaledChain:
@@ -220,7 +213,7 @@ class _ScaledChain:
     A range [m0, m1] with centre c and half-width hw (a unit cell: c = m0,
     hw = 1) carries [a, V(m0), V(m1), t, a_0, bound >= sum_j |a_j|] for the
     centred form V(c + hw*u) = sum_j a_j u^j, a_j = b_j * hw^j with b_j the
-    Taylor coefficients of V about c; t != 0 marks a pending a (_child_forms).
+    Taylor coefficients of V about c; t != 0 marks a pending a (_split_kernel).
 
     mirrored[idx] holds the Horner list of V(-m), the odd powers negated, so
     that certified_off evaluates a range left of 0 as its mirror right of 0.
@@ -353,6 +346,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     two_r1 = 1 << (r + 1)
     certified_off, certified_small = scaled.certified_off, scaled.certified_small
     lims = [lim for _, lim in scaled.polys]
+    splits = [_split_kernel(len(horner)) for horner, _ in scaled.polys]
 
     # A stack entry is a range with the centred forms of its undecided chain
     # elements; right halves go first, so ranges pop left to right.
@@ -378,7 +372,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
         mid = (m0 + m1) >> 1
         lefts, rights = [], []
         for idx, form in forms:
-            left, right = _child_forms(form, m1 - m0)
+            left, right = splits[idx](form, m1 - m0 > 2)
             if not certified_off(idx, m0, mid, left):
                 lefts.append((idx, left))
             if not certified_off(idx, mid, m1, right):

@@ -397,7 +397,8 @@ def test_inherited_forms_match_direct_shift_and_reference():
                 if m1 - m0 == 1:
                     break
                 mid = (m0 + m1) // 2
-                ranges = zip(((m0, mid), (mid, m1)), rootenum._child_forms(walked, m1 - m0))
+                split = rootenum._split_kernel(len(walked[0]))
+                ranges = zip(((m0, mid), (mid, m1)), split(walked, m1 - m0 > 2))
     assert outcomes == {True, False}
     assert shifted == {(False, True), (False, False), (True, True), (True, False)}
     assert True in smalls  # certified_small held at gamma 2^-r or 1/64
@@ -497,18 +498,18 @@ def test_taylor_shift_matches_binomial_definition():
 
 
 def test_taylor_shift_above_the_cap_generates_no_kernel():
+    """Above the cap each sign's shift is the loop, not straight-line code:
+    its bytecode has one size at every length, below that of the cap's."""
+    def size(n, t):
+        return len(rootenum._shifts(n)[t].__code__.co_code)
+
     cap = rootenum._KERNEL_CAP
-    rootenum._shift_kernel.cache_clear()
-    for n in (cap + 1, 65):
-        for t in (1, -1):
-            rootenum._taylor_shift([1] * n, t)
-    assert rootenum._shift_kernel.cache_info().currsize == 0
-    rootenum._taylor_shift([1] * cap, 1)
-    assert rootenum._shift_kernel.cache_info().currsize == 1
+    for t in (1, -1):
+        assert size(cap + 1, t) == size(65, t) < size(cap, t)
 
 
 def _reference_child_forms(form, width):
-    """_child_forms as a loop over the settled list: the reference for its kernel."""
+    """The split as a loop over the settled list: the reference for its kernel."""
     a, v0, v1 = rootenum._settle(form), form[1], form[2]
     if width > 2:
         bound, a = sum(map(abs, a)), [x >> j for j, x in enumerate(a)]
@@ -520,7 +521,7 @@ def _reference_child_forms(form, width):
 
 
 def test_child_forms_match_the_list_code():
-    """_child_forms' kernel gives the list code's two forms over lengths 1..25,
+    """The split kernel gives the list code's two forms over lengths 1..25,
     40, 65 and 300, widths 2, 4 and 8, pending t in {-1, 0, +1} and signed
     coefficients of up to 2,000 bits, zeros included, a_j divisible by 2^j at
     width > 2. The parent's list is left as it was, its form is settled as the
@@ -534,7 +535,7 @@ def test_child_forms_match_the_list_code():
                 v0, v1 = local.getrandbits(64) - (1 << 63), local.getrandbits(64) - (1 << 63)
                 form, expected_form = [c, v0, v1, t, 0, 0], [list(c), v0, v1, t, 0, 0]
                 before = list(c)
-                left, right = rootenum._child_forms(form, width)
+                left, right = rootenum._split_kernel(n)(form, width > 2)
                 assert [left, right] == list(_reference_child_forms(expected_form, width))
                 assert form == expected_form and c == before
                 assert left[0] is right[0]
@@ -546,12 +547,12 @@ def test_split_kernels_are_generated_lazily(run_limited):
     length n generates the split and shift kernels of length n alone."""
     code = (
         "from certiroot import rootenum\n"
-        "split, shift = rootenum._split_kernel, rootenum._shift_kernel\n"
-        "assert split.cache_info().currsize == shift.cache_info().currsize == 0\n"
-        "rootenum._child_forms([[4, 6, 8, 16, 32, 64, 128], 1, 2, 1, 0, 0], 8)\n"
-        "assert split.cache_info().currsize == shift.cache_info().currsize == 1\n"
-        "split(7), shift(7, True)\n"
-        "assert split.cache_info().hits == shift.cache_info().hits == 1\n"
+        "split, shifts = rootenum._split_kernel, rootenum._shifts\n"
+        "assert split.cache_info().currsize == shifts.cache_info().currsize == 0\n"
+        "split(7)([[4, 6, 8, 16, 32, 64, 128], 1, 2, 1, 0, 0], True)\n"
+        "assert split.cache_info().currsize == shifts.cache_info().currsize == 1\n"
+        "split(7), shifts(7)\n"
+        "assert split.cache_info().hits == shifts.cache_info().hits == 1\n"
     )
     proc = run_limited(code)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -565,7 +566,7 @@ def test_certified_small_needs_both_halves_of_its_test():
         scaled = rootenum._ScaledChain([Polynomial(coeffs)], 2, Fraction(gamma))
         form = scaled.root_form(0, 4)
         if child is not None:
-            form = rootenum._child_forms(form, 8)[child]
+            form = rootenum._split_kernel(4)(form, True)[child]
         return scaled.certified_small(0, form), form[3]
 
     assert small([100, 40, 0, -40], 110) == (False, 0)  # 115 >= gamma inside
@@ -573,6 +574,25 @@ def test_certified_small_needs_both_halves_of_its_test():
     assert small([100, 40, 0, -40], 200) == (True, 0)
     assert small([100, 40, 0, -40], 200, child=0) == (True, 0)  # settled to decide
     assert small([100, 40, 0, -40], 200, child=1) == (True, 1)  # its bound decides
+
+
+def test_split_kernels_are_looked_up_once_per_chain_element(monkeypatch):
+    """root_enum resolves each chain element's split kernel once per call, by
+    the element's coefficient count, and not once per split."""
+    lookups, splits = [], []
+    generate = rootenum._split_kernel
+
+    def lookup(n):
+        lookups.append(n)
+        kernel = generate(n)
+        return lambda *args: splits.append(n) or kernel(*args)
+
+    monkeypatch.setattr(rootenum, "_split_kernel", lookup)
+    wilkinson10 = functools.reduce(lambda p, k: p * Polynomial([-k, 1]), range(1, 11),
+                                   Polynomial([1]))
+    root_enum(wilkinson10, PrecisionParams(r=32, gamma=Fraction(1, 2**320)))
+    assert lookups == [p.degree + 1 for p in sturm_chain(wilkinson10)]
+    assert len(splits) > 100 * len(lookups)
 
 
 def test_constant_chain_element_below_gamma_fires_every_cell(monkeypatch):
@@ -597,14 +617,24 @@ def test_constant_chain_element_below_gamma_fires_every_cell(monkeypatch):
 def test_taylor_shift_count_on_wilkinson_20(monkeypatch):
     """A half is shifted only when it descends, or when its centre value and
     its two bounds on sum |a_j| leave the centred-form test open. Shifting
-    both halves of every undecided element took 34,792 shifts here."""
+    both halves of every undecided element took 34,792 shifts here. Split
+    kernels are generated afresh, so that the shifts they make count too."""
     shifts = []
-    shift = rootenum._taylor_shift
-    monkeypatch.setattr(rootenum, "_taylor_shift", lambda c, t: shifts.append(t) or shift(c, t))
+
+    def counted(shift):
+        return lambda c: shifts.append(1) or shift(c)
+
+    generate = rootenum._shifts.__wrapped__
+    monkeypatch.setattr(rootenum, "_shifts",
+                        functools.cache(lambda n: (None, *map(counted, generate(n)[1:]))))
     poly = Polynomial([1])
     for k in range(1, 21):
         poly = poly * Polynomial([-k, 1])
-    result = root_enum(poly, PrecisionParams(r=64, gamma=Fraction(1, 2**1280)))
+    rootenum._split_kernel.cache_clear()
+    try:
+        result = root_enum(poly, PrecisionParams(r=64, gamma=Fraction(1, 2**1280)))
+    finally:
+        rootenum._split_kernel.cache_clear()  # its kernels hold the counted shifts
     h = Fraction(1, 2**65)  # each root is a grid point: both flanking cells fire
     assert result.candidates == tuple(k + s * h for k in range(1, 21) for s in (-1, 1))
     assert len(shifts) == 18_106
