@@ -13,7 +13,8 @@ constant term and rationals as strings to preserve exactness. Optional
 blocks certify the file's own polynomial: "roots": [["num/den",
 multiplicity], ...] and/or "separation": "num/den" (certified minimum root
 separation) let `roots` derive the sign threshold gamma via the small-value
-floor; "factor_floor": "num/den" supplies the rootless-factor constant.
+floor; "factor_floor": "num/den" supplies the rootless-factor constant. A block
+without it uses 1, and the report warns when it does.
 `intersect` reads no blocks; a certified gamma for A - B is passed with
 --gamma. Without a block and without --gamma, gamma defaults to 2^(-d*r) and
 the report carries a warning that the 6*d^2 length bound is then heuristic.
@@ -174,7 +175,10 @@ def resolve_gamma(poly: Polynomial, data: dict, r: int, flag_value):
 
         ctx = errbounds.ApproxContext(r=r, d=d)
         gamma = errbounds.small_value_threshold(poly, delta, ctx, factor_floor=floor)
-        return gamma, "separation", []
+        warnings = [] if "factor_floor" in data else [
+            "factor_floor defaulted to 1; the 6*d^2 length bound then holds only if "
+            "|leading coefficient| times the minimum of the rootless factor is >= 1"]
+        return gamma, "separation", warnings
     warning = ("gamma defaulted to 2^(-d*r); the 6*d^2 length bound is heuristic "
                "without a certified root separation")
     return Fraction(1, 2 ** (d * r)), "default", [warning]

@@ -41,6 +41,20 @@ certification open. The O(d^2) shift is generated once per length and sign,
 written out up to _KERNEL_CAP coefficients and a loop above; the O(d) split,
 which settles its own form, is written out once per length. Ranges pop left
 to right, so the pruned result is bit-identical to the full sweep.
+
+Most of a form's bits are one known power of two, and each form is stored
+divided by it. The ranges are aligned: one of level h has half-width 2^h (a
+unit cell, centred on its left end, has h = 0, as a width-2 range does), and
+its ends and its centre c are multiples of 2^h. For chain element
+V(m) = sum_i C_i 2^(r(k-i)) m^i, every coefficient of V(c + 2^h u) then has
+valuation at least min_i (r(k-i) + h*i) = k*min(h, r), and so do V(m0),
+V(m1), the centre value and the coefficient-sum bound. The range stores them
+divided by 2^s, s = k*min(h, r), and compares them with ceil(lim / 2^s): for
+an integer x, x*2^s >= lim iff x >= ceil(lim / 2^s), and x*2^s < lim iff
+x < ceil(lim / 2^s), so every test decides as on the undivided values.
+Above level r the power is 2^(kr) at every level; from level r down it falls
+by 2^k a level, to 1 at width 2. The interval Horner pass and the leaf
+classification evaluate V itself.
 """
 
 from __future__ import annotations
@@ -160,10 +174,15 @@ def _settle(form: list) -> list:
 @functools.cache
 def _split_kernel(n: int):
     """Pending forms of the left and right halves of a range whose form has n
-    coefficients: a function of (form, wide = width > 2).
+    coefficients: a function of (form, step), step 0 for a range of width 2,
+    1 for one above level r and 2 for one at levels 1..r (see _ScaledChain).
 
     A half of width >= 2 has hw/2 and centre c -+ hw/2, so its form is
     sum_j (a_j / 2^j)(u -+ 1)^j, exact because a_j carries hw^j, hw >= 2.
+    Stored divided by a power of 2 (see _ScaledChain), the halves' a_j / 2^j
+    are a_j >> j above level r, where a range and its halves share the power
+    2^(kr); at levels 1..r the halves' power is 2^k below the range's, so
+    they are a_j << (k - j), with v0, v1, a_0 and bound shifted << k.
     A unit cell is centred on its left end with hw = 1, as a width-2 range
     is on m0 + 1, whose left cell is thus its form shifted by -1 and right
     cell its form. The parent's a_0 = V(c) is the shared endpoint value.
@@ -173,29 +192,35 @@ def _split_kernel(n: int):
     settled in place first, as _settle does, by its length's shift kernel;
     both halves share one coefficient list, and the parent's is not changed.
     """
-    names = [f"a{j}" for j in range(n)]
+    names, k = [f"a{j}" for j in range(n)], n - 1
 
     def total(target, terms):  # 64 terms a statement: longer sums nest too deep to compile
         chunks = [" + ".join(terms[i:i + 64]) for i in range(0, len(terms), 64)] or ["0"]
         return [f"    {target} = {chunks[0]}", *(f"    {target} += {c}" for c in chunks[1:])]
 
+    halve = [f"a{j} >>= {j}" for j in range(1, n)] or ["pass"]
+    rescale = [*(f"{x} <<= {k}" for x in ("bound", "v0", "v1")),
+               *(f"a{j} <<= {k - j}" for j in range(k))] if k else ["pass"]
     lines = [
-        "def kernel(form, wide):",
+        "def kernel(form, step):",
         "    a, v0, v1, t, _, _ = form",
         "    if t:",
         "        a = form[0] = shifts[t](a)",
         "        form[3] = 0",
         f"    {', '.join(names)}, = a",
-        "    if wide:",
+        "    if step:",
         *("    " + line for line in total("bound", [f"abs({x})" for x in names])),
-        *(f"        a{j} >>= {j}" for j in range(1, n)),
+        "        if step == 1:",
+        *("            " + line for line in halve),
+        "        else:",
+        *("            " + line for line in rescale),
         f"        a = [{', '.join(names)}]",
         "    else:",
         *("    " + line for line in total("bound", [f"(abs(a{j}) << {j})" for j in range(n)])),
         *total("even", names[::2]),
         *total("odd", names[1::2]),
         "    left = [a, v0, a0, -1, even - odd, bound]",
-        "    return left, [a, a0, v1, 1, even + odd, bound] if wide else [a, a0, v1, 0, a0, bound]",
+        "    return left, [a, a0, v1, 1, even + odd, bound] if step else [a, a0, v1, 0, a0, bound]",
     ]
     return _compile(f"<split, {n} coefficients>", lines, shifts=_shifts(n))
 
@@ -210,10 +235,14 @@ class _ScaledChain:
     pure integer comparisons: with gamma = g_num / g_den,
     |P| < gamma  iff  |V| < lim = ceil(g_num * den * 2^(rk) / g_den).
 
-    A range [m0, m1] with centre c and half-width hw (a unit cell: c = m0,
-    hw = 1) carries [a, V(m0), V(m1), t, a_0, bound >= sum_j |a_j|] for the
-    centred form V(c + hw*u) = sum_j a_j u^j, a_j = b_j * hw^j with b_j the
-    Taylor coefficients of V about c; t != 0 marks a pending a (_split_kernel).
+    A range [m0, m1] of level h has half-width hw = 2^h and centre c (a unit
+    cell: c = m0, hw = 1, h = 0; a width-2 range: h = 0 too). It carries
+    [a, V(m0), V(m1), t, a_0, bound >= sum_j |a_j|] for the centred form
+    V(c + hw*u) = sum_j a_j u^j, a_j = b_j * hw^j with b_j the Taylor
+    coefficients of V about c; t != 0 marks a pending a (_split_kernel).
+    Every entry but t is stored divided by 2^s, s = k*min(h, r), and compared
+    with lims[min(h, r)][idx] = ceil(lim / 2^s), which decides each test as
+    the undivided entries and lim would (the module docstring has the proof).
 
     mirrored[idx] holds the Horner list of V(-m), the odd powers negated, so
     that certified_off evaluates a range left of 0 as its mirror right of 0.
@@ -222,6 +251,7 @@ class _ScaledChain:
     def __init__(self, chain, r: int, gamma: Fraction):
         s = 1 << r
         g_num, g_den = gamma.numerator, gamma.denominator
+        self.r = r
         self.polys = []  # (horner coeffs high->low as ints, lim int)
         self.mirrored = []
         for p in chain:
@@ -231,13 +261,25 @@ class _ScaledChain:
             horner = [ints[k - j] * s**j for j in range(k + 1)]
             self.polys.append((horner, -(-g_num * dens * s**k // g_den)))
             self.mirrored.append([-h if (k - j) & 1 else h for j, h in enumerate(horner)])
+        self.lims = [[-(-lim >> (len(horner) - 1) * h) for horner, lim in self.polys]
+                     for h in range(r + 1)]
         # Leaves pop left to right, so the only grid point classified twice
         # is the previous leaf's right end: keep just the latest result.
         self._last = (None, ())
 
+    def levels(self, top: int) -> list:
+        """(split step, limits of a range's forms, limits of its halves') for
+        the levels h = 0..top: the step and limits _split_kernel documents."""
+        lims, r = self.lims, self.r
+        return [(0, lims[0], lims[0])] + [
+            (1 if h > r else 2, lims[min(h, r)], lims[min(h - 1, r)]) for h in range(1, top + 1)]
+
     def root_form(self, idx: int, half: int) -> list:
-        """Centred form of chain[idx] over [-half, half]: c = 0, hw = half."""
-        a = [h * half**j for j, h in enumerate(reversed(self.polys[idx][0]))]
+        """Centred form of chain[idx] over [-half, half] (c = 0, hw = half, a
+        multiple of 2^r), stored divided by 2^(k*r)."""
+        horner = self.polys[idx][0]
+        s = (len(horner) - 1) * self.r
+        a = [h * half**j >> s for j, h in enumerate(reversed(horner))]
         return [a, sum(a[::2]) - sum(a[1::2]), sum(a), 0, a[0], sum(map(abs, a))]
 
     def classify(self, m: int) -> tuple:
@@ -254,10 +296,11 @@ class _ScaledChain:
         self._last = (m, tuple(out))
         return self._last[1]
 
-    def certified_off(self, idx: int, m0: int, m1: int, form: list) -> bool:
+    def certified_off(self, idx: int, m0: int, m1: int, form: list, lim: int) -> bool:
         """True if |chain[idx]| >= gamma provably holds on [m0/2^r, m1/2^r].
 
-        form is chain[idx]'s centred form over the range. Checked in order:
+        form is chain[idx]'s centred form over the range and lim its level's
+        limit, both divided by one power of 2. Checked in order:
         1. Exact values: if V(m0), V(m1) differ in sign or one is 0, or
            |V(c)| = |c0| < lim, the range holds a small point and no sound
            enclosure certifies it: False.
@@ -267,11 +310,12 @@ class _ScaledChain:
            depth even around high-multiplicity roots. The sum lies between
            max(|V(m0)|, |V(m1)|), the form's values at the ends, and bound:
            only when these two leave the test open is the form settled.
-        3. Plain interval Horner over [m0, m1] with m0 >= 0: tight far from
-           the roots. Each step's [lo, hi] * [m0, m1] takes its ends at the
-           corners, and as x >= 0 the sign of each y end picks its x end:
-           two products. A range with m1 <= 0 runs the same loop on V(-m)
-           over [-m1, -m0]; negation is exact, so the enclosure is V's.
+        3. Plain interval Horner over [m0, m1] with m0 >= 0, on V and the
+           undivided lim: tight far from the roots. Each step's [lo, hi] *
+           [m0, m1] takes its ends at the corners, and as x >= 0 the sign of
+           each y end picks its x end: two products. A range with m1 <= 0
+           runs the same loop on V(-m) over [-m1, -m0]; negation is exact,
+           so the enclosure is V's.
         Only the whole grid [-half, half] holds 0 inside: every other range
         lies in one of its halves. There each step's product is
         +-half * max(|lo|, |hi|), so step 3 would give c0 +- sum_{j>=1}
@@ -279,7 +323,6 @@ class _ScaledChain:
         which has failed: such a range returns False before step 3.
         """
         _, v0, v1, _, c0, bound = form
-        horner, lim = self.polys[idx]
         c0 = abs(c0)
         if not (v0 > 0 < v1 or v0 < 0 > v1) or c0 < lim:
             return False
@@ -289,6 +332,7 @@ class _ScaledChain:
             return True
         if m0 < 0 < m1:
             return False
+        horner, lim = self.polys[idx]
         if m1 <= 0:
             horner, m0, m1 = self.mirrored[idx], -m1, -m0
         lo = hi = horner[0]
@@ -296,9 +340,11 @@ class _ScaledChain:
             lo, hi = lo * (m0 if lo >= 0 else m1) + h, hi * (m1 if hi >= 0 else m0) + h
         return lo >= lim or -hi >= lim
 
-    def certified_small(self, idx: int, form: list) -> bool:
-        """True if 0 < |chain[idx]| < gamma with one sign provably holds on a
-        range of width >= 2, whose form's u runs over [-1, 1].
+    @staticmethod
+    def certified_small(form: list, lim: int) -> bool:
+        """True if 0 < |chain element| < gamma with one sign provably holds on
+        a range of width >= 2, whose form's u runs over [-1, 1]; lim is the
+        level's limit, as in certified_off.
 
         |V - c0| <= S1 = sum_{j>=1} |a_j| on the range, so |c0| - S1 > 0 and
         |c0| + S1 < lim suffice. They imply that V(m0), V(m1) and c0 are
@@ -307,7 +353,6 @@ class _ScaledChain:
         leaves the test open.
         """
         _, v0, v1, _, c0, bound = form
-        lim = self.polys[idx][1]
         if c0 < 0:
             v0, v1, c0 = -v0, -v1, -c0
         if not (0 < v0 < lim and 0 < v1 < lim and 0 < c0 < lim):
@@ -342,27 +387,31 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     chain = sturm_chain(c)
     scaled = _ScaledChain(chain, r, params.gamma)
     half = grid.grid_bound << r  # grid numerators run over [-half, half]
+    top = grid.r_prime - 1  # the whole grid's level: half = 2^top
     candidates: list[Fraction] = []
     two_r1 = 1 << (r + 1)
     certified_off, certified_small = scaled.certified_off, scaled.certified_small
-    lims = [lim for _, lim in scaled.polys]
+    levels = scaled.levels(top)
     splits = [_split_kernel(len(horner)) for horner, _ in scaled.polys]
 
     # A stack entry is a range with the centred forms of its undecided chain
-    # elements; right halves go first, so ranges pop left to right.
+    # elements, and its level; right halves go first, so ranges pop left to right.
+    lims = levels[top][1]
     forms = [(idx, scaled.root_form(idx, half)) for idx in range(len(chain))]
-    forms = [(idx, f) for idx, f in forms if not certified_off(idx, -half, half, f)]
-    stack = [(-half, half, forms)]
+    forms = [(idx, f) for idx, f in forms if not certified_off(idx, -half, half, f, lims[idx])]
+    stack = [(-half, half, forms, top)]
     while stack:
-        m0, m1, forms = stack.pop()
+        m0, m1, forms, h = stack.pop()
         if m1 - m0 == 1:
             left = scaled.classify(m0)
             right = scaled.classify(m1)
             if max_changes_of_classes(left) - min_changes_of_classes(right) >= 1:
                 candidates.append(Fraction(2 * m0 + 1, two_r1))
             continue
+        step, lims, halves = levels[h]
         for idx, form in forms:  # |c0| >= lim, the common case, needs no call
-            if not -lims[idx] < form[4] < lims[idx] or not certified_small(idx, form):
+            lim = lims[idx]
+            if not -lim < form[4] < lim or not certified_small(form, lim):
                 break
         else:  # one class vector at every grid point: all cells fire or none
             same = scaled.classify(m0)
@@ -372,15 +421,17 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
         mid = (m0 + m1) >> 1
         lefts, rights = [], []
         for idx, form in forms:
-            left, right = splits[idx](form, m1 - m0 > 2)
-            if not certified_off(idx, m0, mid, left):
+            left, right = splits[idx](form, step)
+            lim = halves[idx]
+            if not certified_off(idx, m0, mid, left, lim):
                 lefts.append((idx, left))
-            if not certified_off(idx, mid, m1, right):
+            if not certified_off(idx, mid, m1, right, lim):
                 rights.append((idx, right))
+        h -= 1
         if rights:
-            stack.append((mid, m1, rights))
+            stack.append((mid, m1, rights, h))
         if lefts:
-            stack.append((m0, mid, lefts))
+            stack.append((m0, mid, lefts, h))
     return grid._replace(candidates=tuple(candidates))
 
 

@@ -136,6 +136,12 @@ def test_gamma_from_separation_block(capsys, poly_file):
     # min(1, 1/2) * 1 * 2^-8
     assert report["gamma"] == "1/512"
     assert report["gamma_source"] == "separation"
+    assert len(report["warnings"]) == 1 and "factor_floor defaulted to 1" in report["warnings"][0]
+    # The same floor, given: the report is the same but for the warning.
+    path = poly_file("q.json", {"coeffs": ["0", "-1", "1"], "separation": "1",
+                                "factor_floor": "1"})
+    _, out = run(capsys, ["roots", "--poly", path, "--precision", "4", "--format", "json"])
+    assert json.loads(out) == {**report, "warnings": []}
 
 
 def test_gamma_from_roots_block(capsys, poly_file):
@@ -707,14 +713,18 @@ GOLDEN = {
     "roots": (
         ["roots", "--poly", "{p}", "--precision", "4"], 0,
         "command: roots\ndegree: 2\nprecision: 4\ngamma: 1/256\n"
-        "gamma_source: separation\nbeta: 3/1\ngrid_bound: 4\nr_prime: 7\n"
+        "gamma_source: separation\nwarning: factor_floor defaulted to 1; the 6*d^2 length "
+        "bound then holds only if |leading coefficient| times the minimum of the rootless "
+        "factor is >= 1\nbeta: 3/1\ngrid_bound: 4\nr_prime: 7\n"
         "interval_width: 1/16\nlength_bound: 24\ncells_fired: 2\ncandidates: 2\n"
         "candidate: -45/32 -45/2^5\ncandidate: 45/32 45/2^5\n",
         '{"beta": "3/1", "candidates": [{"dyadic": "-45/2^5", "value": "-45/32"}, '
         '{"dyadic": "45/2^5", "value": "45/32"}], "cells_fired": 2, "command": "roots", '
         '"degree": 2, "format": 1, "gamma": "1/256", "gamma_source": "separation", '
         '"grid_bound": 4, "interval_width": "1/16", "length_bound": 24, "precision": 4, '
-        '"r_prime": 7, "warnings": []}\n'),
+        '"r_prime": 7, "warnings": ["factor_floor defaulted to 1; the 6*d^2 length bound '
+        'then holds only if |leading coefficient| times the minimum of the rootless factor '
+        'is >= 1"]}\n'),
     "intersect": (
         ["intersect", "--a", "{a}", "--b", "{b}", "--precision", "3"], 0,
         "command: intersect\ndifference_degree: 1\nprecision: 3\ngamma: 1/8\n"

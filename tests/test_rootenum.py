@@ -7,6 +7,7 @@ licensed change in observable behavior.
 """
 
 import functools
+import hashlib
 import math
 import random
 from bisect import bisect_left
@@ -347,9 +348,10 @@ def _reference_certified_off(horner, rhs, g_den, m0, m1):
 def test_inherited_forms_match_direct_shift_and_reference():
     """Walk from the whole grid down to a unit cell (toward a fired cell or
     a random one). certified_off, given the whole grid's form and, at every
-    step, both halves' pending forms, returns the reference's bool; each form
-    then settles to the direct shift, with its centre value c0 its a_0 and
-    its bound at least its sum |a_j|. Where certified_small holds on a range
+    step, both halves' pending forms, with their level's limit, returns the
+    reference's bool; each form then settles to the direct shift over its
+    power of two, with its centre value c0 its a_0 and its bound at least its
+    sum |a_j|. Where certified_small holds on a range
     of width >= 2, every grid point of it evaluates strictly inside (0,
     gamma) or (-gamma, 0), with one sign for all of them."""
     local = random.Random(0xF0E)
@@ -363,6 +365,7 @@ def test_inherited_forms_match_direct_shift_and_reference():
         chain = sturm_chain(poly)
         scaled = rootenum._ScaledChain(chain, r, gamma)
         half = 1 << (max(0, ceil_log2(cauchy_bound(poly))) + r)
+        levels = scaled.levels(half.bit_length() - 1)
         fired = root_enum(poly, PrecisionParams(r=r, gamma=gamma)).candidates
         for idx, p in enumerate(chain):
             den = math.lcm(*(c.denominator for c in p.coeffs))
@@ -376,20 +379,23 @@ def test_inherited_forms_match_direct_shift_and_reference():
             ranges = [((-half, half), scaled.root_form(idx, half))]
             while True:
                 for (c0, c1), form in ranges:
+                    h = max((c1 - c0).bit_length() - 2, 0)
+                    lim, s = levels[h][1][idx], k * min(h, r)
                     pending = form[3] != 0
                     expected = _reference_certified_off(horner, rhs, gamma.denominator, c0, c1)
-                    assert scaled.certified_off(idx, c0, c1, form) is expected
+                    assert scaled.certified_off(idx, c0, c1, form, lim) is expected
                     outcomes.add(expected)
                     if pending:  # did certified_off shift it, and what did it return
                         shifted.add((form[3] == 0, expected))
-                    if c1 - c0 >= 2 and scaled.certified_small(idx, form):
+                    if c1 - c0 >= 2 and scaled.certified_small(form, lim):
                         values = [_horner(horner, m) for m in range(c0, c1 + 1)]
                         signs = {(v > 0) - (v < 0) for v in values}
                         assert len(signs) == 1 and 0 not in signs
                         assert all(abs(v) * gamma.denominator < rhs for v in values)
                         smalls.add(gamma in (Fraction(1, 2**r), Fraction(1, 64)))
                     a = rootenum._settle(form)
-                    assert (a, form[1], form[2]) == _direct_form(horner, c0, c1)
+                    assert ([x << s for x in a], form[1] << s, form[2] << s) == _direct_form(
+                        horner, c0, c1)
                     assert form[4] == a[0]
                     assert form[5] >= sum(abs(x) for x in a)
                     if c0 <= target < c1:
@@ -398,7 +404,8 @@ def test_inherited_forms_match_direct_shift_and_reference():
                     break
                 mid = (m0 + m1) // 2
                 split = rootenum._split_kernel(len(walked[0]))
-                ranges = zip(((m0, mid), (mid, m1)), split(walked, m1 - m0 > 2))
+                step = levels[(m1 - m0).bit_length() - 2][0]
+                ranges = zip(((m0, mid), (mid, m1)), split(walked, step))
     assert outcomes == {True, False}
     assert shifted == {(False, True), (False, False), (True, True), (True, False)}
     assert True in smalls  # certified_small held at gamma 2^-r or 1/64
@@ -409,7 +416,8 @@ def test_plain_interval_horner_on_both_sides_of_zero():
     certified_off's answer is the plain interval Horner pass's. On ranges
     with m0 >= 0 (an end at 0 included) it runs on V, and on ranges with
     m1 <= 0 on V(-m) over the mirrored range; gamma is drawn so that lim
-    falls in the window the centred form leaves open. A range holding 0
+    falls in the window the centred form leaves open, and the form and lim
+    are passed undivided. A range holding 0
     inside is drawn symmetric, as the whole grid is, and lim on both sides
     of its centred bound |a_0| - sum_{j>=1} |a_j|. Each side must give the
     four-product reference's bool, and each must give both bools."""
@@ -441,7 +449,7 @@ def test_plain_interval_horner_on_both_sides_of_zero():
         form = [a, v0, v1, 0, a[0], sum(map(abs, a))]
         rhs = gamma.numerator << (r * deg)
         expected = _reference_certified_off(horner, rhs, gamma.denominator, m0, m1)
-        assert scaled.certified_off(0, m0, m1, form) is expected
+        assert scaled.certified_off(0, m0, m1, form, scaled.polys[0][1]) is expected
         outcomes[side].add(expected)
         ends_at_zero.update(end for end, m in (("m0 == 0", m0), ("m1 == 0", m1)) if m == 0)
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
@@ -456,9 +464,9 @@ def test_only_the_whole_grid_holds_zero_inside(monkeypatch):
     seen = []
     original = rootenum._ScaledChain.certified_off
 
-    def spy(self, idx, m0, m1, form):
+    def spy(self, idx, m0, m1, form, lim):
         seen.append((m0, m1))
-        return original(self, idx, m0, m1, form)
+        return original(self, idx, m0, m1, form, lim)
 
     monkeypatch.setattr(rootenum._ScaledChain, "certified_off", spy)
     wilkinson10 = functools.reduce(lambda p, k: p * Polynomial([-k, 1]), range(1, 11),
@@ -541,6 +549,69 @@ def test_child_forms_match_the_list_code():
                 assert left[0] is right[0]
 
 
+def test_stored_forms_are_the_undivided_forms_over_their_power_of_two():
+    """Walk from the whole grid down to a unit cell, splitting the stored form
+    with its level's kernel step and, alongside, the undivided form with the
+    list code. At every level h the stored form times 2^(k*min(h, r)), pending
+    and settled, is the undivided one, t included; the walks take all three
+    steps: above level r, at levels 1..r and at width 2."""
+    local = random.Random(0x5CA1E)
+    steps = set()
+    for _ in range(40):
+        deg = local.randint(1, 7)
+        coeffs = [local.randint(-40, 40) for _ in range(deg)] + [local.choice([-3, -1, 1, 2])]
+        poly = Polynomial(coeffs)
+        r = local.randint(1, 6)
+        scaled = rootenum._ScaledChain(sturm_chain(poly), r, Fraction(1, 2 ** (deg * r)))
+        top = max(0, ceil_log2(cauchy_bound(poly))) + r
+        half, levels = 1 << top, scaled.levels(top)
+        for idx, (horner, _) in enumerate(scaled.polys):
+            k = len(horner) - 1
+            a, v0, v1 = _direct_form(horner, -half, half)
+            form, undivided = scaled.root_form(idx, half), [a, v0, v1, 0, a[0], sum(map(abs, a))]
+            m0, m1, h = -half, half, top
+            while True:
+                s = k * min(h, r)
+                for _ in "pending", "settled":
+                    a, v0, v1, t, c0, bound = form
+                    assert [[x << s for x in a], v0 << s, v1 << s, t, c0 << s,
+                            bound << s] == undivided
+                    rootenum._settle(form), rootenum._settle(undivided)
+                if m1 - m0 == 1:
+                    break
+                step = levels[h][0]
+                steps.add(step)
+                side = local.randrange(2)
+                form = rootenum._split_kernel(k + 1)(form, step)[side]
+                undivided = _reference_child_forms(undivided, m1 - m0)[side]
+                mid = (m0 + m1) // 2
+                (m0, m1), h = ((m0, mid), (mid, m1))[side], max(h - 1, 0)
+    assert steps == {0, 1, 2}
+
+
+# sha256 of the candidates' "num/den" strings, joined by spaces, as recorded
+# before the forms were stored divided by their power of two.
+WILKINSON_10_HIGH_R = {
+    128: "3d011a7927e61c54a5b24148f90fd9014943dd99adea033a547c2607771e1e94",
+    256: "bd37d377ea9791949f232c0eac8b2d553060d3fce70840c6dea45e3ae9b61a8e",
+    512: "fdd0002ce60d1da6cb953618ff63bffee8012072e6106dbd552c614b62b1546a",
+}
+
+
+@pytest.mark.parametrize("r", WILKINSON_10_HIGH_R)
+def test_wilkinson_10_at_high_precision(r):
+    """At gamma = 2^-(10r) the forms shed the most bits, up to 10r a level:
+    the candidates are the recorded tuple, and each root lies within 2^-r
+    of one."""
+    wilkinson10 = functools.reduce(lambda p, k: p * Polynomial([-k, 1]), range(1, 11),
+                                   Polynomial([1]))
+    result = root_enum(wilkinson10, PrecisionParams(r=r, gamma=Fraction(1, 2 ** (10 * r))))
+    digest = hashlib.sha256(" ".join(map(str, result.candidates)).encode()).hexdigest()
+    assert digest == WILKINSON_10_HIGH_R[r]
+    assert all(min(abs(q - k) for q in result.candidates) <= Fraction(1, 2**r)
+               for k in range(1, 11))
+
+
 def test_split_kernels_are_generated_lazily(run_limited):
     """Importing rootenum generates no kernel, so neither set-up nor a CLI
     child pays for lengths it never splits; one split of a pending form of
@@ -564,10 +635,11 @@ def test_certified_small_needs_both_halves_of_its_test():
     x = -1/2. Each of |c0| - S1 > 0 and |c0| + S1 < lim rejects one."""
     def small(coeffs, gamma, child=None):
         scaled = rootenum._ScaledChain([Polynomial(coeffs)], 2, Fraction(gamma))
+        step, lims, halves = scaled.levels(2)[2]  # the whole grid [-4, 4] is level 2
         form = scaled.root_form(0, 4)
         if child is not None:
-            form = rootenum._split_kernel(4)(form, True)[child]
-        return scaled.certified_small(0, form), form[3]
+            form, lims = rootenum._split_kernel(4)(form, step)[child], halves
+        return scaled.certified_small(form, lims[0]), form[3]
 
     assert small([100, 40, 0, -40], 110) == (False, 0)  # 115 >= gamma inside
     assert small([10, 40, 0, -40], 100) == (False, 0)  # -5 inside
