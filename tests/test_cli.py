@@ -2,6 +2,7 @@
 structured errors, and the JSON round-trip back into result objects."""
 
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -648,6 +649,21 @@ def test_precision_r_max_is_read_as_before(run_limited, poly_file, command):
     proc = run_limited(MAIN, *[a.format(**paths) for a in argv], "--precision", str(R_MAX))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, f"error: ParseError: {message}: over 4300 digits\n", "")
+
+
+def test_a_dense_polynomial_at_the_degree_cap_gets_a_report(run_limited, poly_file):
+    """A seeded dense rational polynomial of degree 64, the default
+    CERTIROOT_MAX_DEGREE, ends in a report in the limited child (60 s, 1 GB).
+    Its Sturm chain's coefficients reach 132,543 bits. With the chain built by
+    Euclidean division on Fractions the run took 48 s on a 2-core host, and
+    3.3 s with the integer build."""
+    rng = random.Random(64)
+    coeffs = [f"{rng.randint(-40, 40)}/{rng.randint(1, 40)}" for _ in range(64)]
+    path = poly_file("dense64.json", {"coeffs": coeffs + ["7/9"]})
+    proc = run_limited(MAIN, "roots", "--poly", path, "--precision", "4")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("command: roots\ndegree: 64\n")
+    assert "\ncandidates: " in proc.stdout
 
 
 # Wilkinson's polynomial (x - 1)(x - 2)...(x - 10).

@@ -589,6 +589,30 @@ def test_stored_forms_are_the_undivided_forms_over_their_power_of_two():
     assert steps == {0, 1, 2}
 
 
+@pytest.mark.parametrize("r", [8, 64])
+def test_scaled_rows_match_the_fraction_formula(chain_inputs, r):
+    """_ScaledChain's integer rows, mirrored rows and per-level limits are
+    those of the Fraction formula: C_j = c_j * den with den the least common
+    denominator, lim = ceil(g_num * den * 2^(rk) / g_den), and level h's
+    limit ceil(lim / 2^(k*h)), on conftest's chain_inputs."""
+    for poly in chain_inputs:
+        chain = sturm_chain(poly)
+        for gamma in Fraction(1, 2 ** (poly.degree * r)), Fraction(22, 7):
+            scaled = rootenum._ScaledChain(chain, r, gamma)
+            polys, mirrored = [], []
+            for p in chain:
+                den = math.lcm(*(c.denominator for c in p.coeffs))
+                k = p.degree
+                rows = [(int(c * den) << (r * (k - i)), i) for i, c in enumerate(p.coeffs)][::-1]
+                lim = math.ceil(gamma.numerator * den * Fraction(2 ** (r * k), gamma.denominator))
+                polys.append(([v for v, _ in rows], lim))
+                mirrored.append([-v if i % 2 else v for v, i in rows])
+            assert scaled.polys == polys
+            assert scaled.mirrored == mirrored
+            assert scaled.lims == [[math.ceil(Fraction(lim, 2 ** ((len(row) - 1) * h)))
+                                    for row, lim in polys] for h in range(r + 1)]
+
+
 # sha256 of the candidates' "num/den" strings, joined by spaces, as recorded
 # before the forms were stored divided by their power of two.
 WILKINSON_10_HIGH_R = {

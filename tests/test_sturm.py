@@ -68,11 +68,11 @@ def test_chain_rejects_constants():
         sturm_chain(Polynomial([0]))
 
 
-def test_chain_structure_random():
+def test_chain_structure_random(chain_inputs):
     """First two entries are p, p'; each later entry is minus the remainder
-    of its two predecessors; degrees strictly decrease; length <= deg+1."""
-    for _ in range(40):
-        p, _ = random_squarefree(rng)
+    of its two predecessors; degrees strictly decrease; length <= deg+1. On
+    40 random squarefree inputs and on conftest's chain_inputs."""
+    for p in [random_squarefree(rng)[0] for _ in range(40)] + chain_inputs:
         chain = sturm_chain(p)
         assert chain[0] == p
         assert chain[1] == p.derivative()
