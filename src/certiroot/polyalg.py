@@ -103,7 +103,7 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
+        return len(self.coeffs) == 1 and not self.coeffs[0]
 
     @property
     def degree(self):

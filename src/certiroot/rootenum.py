@@ -53,8 +53,17 @@ divided by 2^s, s = k*min(h, r), and compares them with ceil(lim / 2^s): for
 an integer x, x*2^s >= lim iff x >= ceil(lim / 2^s), and x*2^s < lim iff
 x < ceil(lim / 2^s), so every test decides as on the undivided values.
 Above level r the power is 2^(kr) at every level; from level r down it falls
-by 2^k a level, to 1 at width 2. The interval Horner pass and the leaf
-classification evaluate V itself.
+by 2^k a level, to 1 at width 2. The interval Horner pass evaluates V
+itself.
+
+Classification evaluates nothing. At a unit cell the power is 1, so the
+form of each undecided element holds V(m0) and V(m1) exactly, and its class
+(sign, |V| < lim) follows. Every other element was certified off on a range
+holding the cell, where |V| >= lim with one sign: its class is (that sign,
+False). The descent records that sign when it pops the range where the
+element went off (see _ScaledChain.classify). A range decided whole is
+classified at m0 the same way, from V(m0) stored divided by 2^s and its
+level's limit.
 """
 
 from __future__ import annotations
@@ -245,6 +254,10 @@ class _ScaledChain:
 
     mirrored[idx] holds the Horner list of V(-m), the odd powers negated, so
     that certified_off evaluates a range left of 0 as its mirror right of 0.
+
+    classify evaluates V by Horner's rule only when given m alone. root_enum
+    passes it the exact values its forms carry and the signs of the elements
+    certified off, which give the same classes (see classify).
     """
 
     def __init__(self, chain, r: int, gamma: Fraction):
@@ -280,17 +293,48 @@ class _ScaledChain:
         a = [h * half**j >> s for j, h in enumerate(reversed(horner))]
         return [a, sum(a[::2]) - sum(a[1::2]), sum(a), 0, a[0], sum(map(abs, a))]
 
-    def classify(self, m: int) -> tuple:
-        """Entry classes ((sign, small), ...) of the chain at grid point m/2^r."""
+    def classify(self, m: int, signs=None, forms=None, lims=None, at=None) -> tuple:
+        """Entry classes ((sign, small), ...) of the chain at grid point m/2^r.
+
+        Given m alone, each V(m) is evaluated by Horner's rule. root_enum
+        passes, by position, what the range [m0, m1] it pops already holds:
+        forms, the (idx, form) pairs of its undecided elements, whose
+        form[at] is V(m) divided by 2^s (at = 1 for m = m0, 2 for m = m1);
+        lims, their level's limits ceil(lim / 2^s); and signs, one entry per
+        chain element, right for each element certified off on the range.
+        An element in forms has class (sign of form[at], |form[at]| <
+        lims[idx]), which decides as V(m) and lim would (see the module
+        docstring); at a unit cell s = 0 and form[at] is V(m) itself. An
+        element certified off has |V| >= lim with one sign on the range, so
+        its class is (signs[idx], False).
+
+        Why signs is right: root_enum writes the signs of the elements that
+        went off on a range, off there and undecided on its parent, when it
+        pops that range, each from the sign of the range's V(m0); those off
+        on the whole grid it writes before the descent. Take an element off
+        on a popped range L and the largest range X holding L on which it is
+        off, where it went off. Its sign, written at X's pop, is V's sign on
+        all of X, L included. Pops run depth first, so every range popped
+        after X and up to L lies inside X, and its parent, inside X too or X
+        itself, has the element off already: no such pop rewrites its sign.
+
+        Both ways give the exact classes, so they share the one-point cache.
+        """
         if m == self._last[0]:
             return self._last[1]
-        out = []
-        for horner, lim in self.polys:
-            v = horner[0]
-            for h in horner[1:]:
-                v = v * m + h
-            sign = 1 if v > 0 else (-1 if v < 0 else 0)
-            out.append((sign, abs(v) < lim))
+        if signs is None:
+            out = []
+            for horner, lim in self.polys:
+                v = horner[0]
+                for h in horner[1:]:
+                    v = v * m + h
+                sign = 1 if v > 0 else (-1 if v < 0 else 0)
+                out.append((sign, abs(v) < lim))
+        else:
+            out = [(s, False) for s in signs]
+            for idx, form in forms:
+                v, lim = form[at], lims[idx]
+                out[idx] = (1 if v > 0 else (-1 if v < 0 else 0), -lim < v < lim)
         self._last = (m, tuple(out))
         return self._last[1]
 
@@ -389,20 +433,30 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     candidates: list[Fraction] = []
     two_r1 = 1 << (r + 1)
     certified_off, certified_small = scaled.certified_off, scaled.certified_small
+    classify = scaled.classify
     levels = scaled.levels(top)
+    unit_lims = levels[0][1]
     splits = [_split_kernel(len(horner)) for horner, _ in scaled.polys]
 
     # A stack entry is a range with the centred forms of its undecided chain
-    # elements, and its level; right halves go first, so ranges pop left to right.
-    lims = levels[top][1]
-    forms = [(idx, scaled.root_form(idx, half)) for idx in range(len(chain))]
-    forms = [(idx, f) for idx, f in forms if not certified_off(idx, -half, half, f, lims[idx])]
-    stack = [(-half, half, forms, top)]
+    # elements, its level and the (idx, sign) pairs of the elements that went
+    # off on it, written to signs when it pops (see _ScaledChain.classify);
+    # right halves go first, so ranges pop left to right.
+    lims, signs, forms = levels[top][1], [0] * len(chain), []
+    for idx in range(len(chain)):
+        form = scaled.root_form(idx, half)
+        if certified_off(idx, -half, half, form, lims[idx]):
+            signs[idx] = 1 if form[1] > 0 else -1
+        else:
+            forms.append((idx, form))
+    stack = [(-half, half, forms, top, ())]
     while stack:
-        m0, m1, forms, h = stack.pop()
+        m0, m1, forms, h, went_off = stack.pop()
+        for idx, sign in went_off:
+            signs[idx] = sign
         if m1 - m0 == 1:
-            left = scaled.classify(m0)
-            right = scaled.classify(m1)
+            left = classify(m0, signs, forms, unit_lims, 1)
+            right = classify(m1, signs, forms, unit_lims, 2)
             if max_changes_of_classes(left) - min_changes_of_classes(right) >= 1:
                 candidates.append(Fraction(2 * m0 + 1, two_r1))
             continue
@@ -412,24 +466,28 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
             if not -lim < form[4] < lim or not certified_small(form, lim):
                 break
         else:  # one class vector at every grid point: all cells fire or none
-            same = scaled.classify(m0)
+            same = classify(m0, signs, forms, lims, 1)
             if max_changes_of_classes(same) - min_changes_of_classes(same) >= 1:
                 candidates.extend(Fraction(2 * m + 1, two_r1) for m in range(m0, m1))
             continue
         mid = (m0 + m1) >> 1
-        lefts, rights = [], []
+        lefts, rights, left_off, right_off = [], [], [], []
         for idx, form in forms:
             left, right = splits[idx](form, step)
             lim = halves[idx]
-            if not certified_off(idx, m0, mid, left, lim):
+            if certified_off(idx, m0, mid, left, lim):
+                left_off.append((idx, 1 if left[1] > 0 else -1))
+            else:
                 lefts.append((idx, left))
-            if not certified_off(idx, mid, m1, right, lim):
+            if certified_off(idx, mid, m1, right, lim):
+                right_off.append((idx, 1 if right[1] > 0 else -1))
+            else:
                 rights.append((idx, right))
         h -= 1
         if rights:
-            stack.append((mid, m1, rights, h))
+            stack.append((mid, m1, rights, h, right_off))
         if lefts:
-            stack.append((m0, mid, lefts, h))
+            stack.append((m0, mid, lefts, h, left_off))
     return grid._replace(candidates=tuple(candidates))
 
 

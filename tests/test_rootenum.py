@@ -702,12 +702,75 @@ def test_constant_chain_element_below_gamma_fires_every_cell(monkeypatch):
     for r in (3, 4, 5):
         points = []
         monkeypatch.setattr(rootenum._ScaledChain, "classify",
-                            lambda self, m: points.append(m) or classify(self, m))
+                            lambda self, m, *known: points.append(m) or classify(self, m, *known))
         params = PrecisionParams(r=r, gamma=Fraction(1, 64))
         result = root_enum(poly, params)
         assert len(result.candidates) == 1 << result.r_prime
         assert result.candidates == naive_grid_scan(poly, params)
         assert len(points) * 4 < len(result.candidates)
+
+
+def _planted_floor_calls(seed, count):
+    """count planted polynomials (roots on the 1/8 lattice of (-10, 10),
+    multiplicity <= 3, total degree <= 6, an optional irreducible quadratic)
+    at r in {8, 16, 32}, each at its certified floor."""
+    local = random.Random(seed)
+    for _ in range(count):
+        quad = local.random() < 0.25
+        budget = 6 - 2 * quad
+        k = local.randint(1, min(4, budget))
+        mults = []
+        for j in range(k):
+            mults.append(local.randint(1, min(3, budget - sum(mults) - (k - 1 - j))))
+        nums = local.sample(range(-79, 80), k)
+        p = Fraction(local.randint(-6, 6))
+        planted = plant(PlantedSpec(
+            real_roots=tuple((Fraction(v, 8), m) for v, m in zip(nums, mults)),
+            irreducible_quadratics=((p, Fraction(int(p * p / 4) + local.randint(1, 3))),) * quad,
+            leading=Fraction(local.choice([1, -1, 2, -2])),
+        ))
+        poly = planted.polynomial
+        for r in (8, 16, 32):
+            yield poly, r, small_value_threshold(
+                poly, planted.delta_min or 1, ApproxContext(r=r, d=poly.degree),
+                planted.factor_floor)
+
+
+def test_carried_classes_equal_horner_classes(monkeypatch):
+    """root_enum classifies each leaf cell's ends and each uniform range from
+    what the descent carries: the forms' exact values for undecided elements
+    and the recorded signs of the elements certified off. Every class vector
+    it gets equals the one that Horner evaluation gives at the same point:
+    on Wilkinson d=20, on the cubic that fires every cell (most of its points
+    classify uniform ranges), on x^2 - 2 at a coarse gamma (some uniform
+    ranges too) and on planted polynomials at the floor."""
+    seen = []
+    classify = rootenum._ScaledChain.classify
+
+    def spy(self, m, *known):
+        classes = classify(self, m, *known)
+        seen.append((m, bool(known), classes))
+        return classes
+
+    monkeypatch.setattr(rootenum._ScaledChain, "classify", spy)
+    wilkinson20 = functools.reduce(lambda p, k: p * Polynomial([-k, 1]), range(1, 21),
+                                   Polynomial([1]))
+    calls = [
+        *((wilkinson20, r, Fraction(1, 2 ** (20 * r))) for r in (32, 64)),
+        *((Polynomial([-2, -8, -7, 2]), r, Fraction(1, 64)) for r in (3, 4, 5)),
+        (X2_MINUS_2, 10, Fraction(1, 64)),
+        *_planted_floor_calls(0xC1A5, 50),
+    ]
+    checked = 0
+    for poly, r, gamma in calls:
+        seen.clear()
+        root_enum(poly, PrecisionParams(r=r, gamma=gamma))
+        oracle = rootenum._ScaledChain(sturm_chain(poly), r, gamma)
+        assert seen and all(known for _, known, _ in seen), (poly, r)
+        for m, _, classes in seen:
+            assert classes == classify(oracle, m), (poly, r, gamma, m)
+        checked += len(seen)
+    assert checked > 2000
 
 
 def test_taylor_shift_count_on_wilkinson_20(monkeypatch):
