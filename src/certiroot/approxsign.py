@@ -20,6 +20,10 @@ entry is trusted, and they bracket it for every gamma:
     min_sign_change(theta, g) <= variations(theta) <= max_sign_change(theta, g)
 
 which is exactly what interval-endpoint root counting needs.
+
+Each count is one pass over a vector of entry classes, with no list built:
+`max_changes_of_classes` and `min_changes_of_classes` are what root_enum
+runs at every cell end it classifies.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InvalidArgument, ThresholdNonPositive, echo
-from .sturm import sign_variations
 
 # An entry class is (sign, small): sign in {-1, 0, +1} is the exact sign of
 # the stored value, small means |value| < gamma (the sign is untrusted).
@@ -55,11 +58,23 @@ def max_changes_of_classes(classes: Sequence[tuple[int, bool]]) -> int:
     (j, s2) the j - i pairs must change an even number of times if s1 == s2
     and an odd number if not: when the parity of j - i is the wrong one,
     one change is lost, and only then.
+
+    One pass: key is the sign that a change at every pair since the last
+    trusted entry would give the current one, so it flips at each step. A
+    trusted entry (nonzero) of another sign has the wrong parity and loses a
+    change. The first one, met with key 0, is counted too, so the result is
+    n - 1 - (lost - 1), or n - 1 with no trusted entry. Raises
+    InvalidArgument on an empty vector.
     """
-    trusted = [(i, sign) for i, (sign, small) in enumerate(classes) if not small]
-    return len(classes) - 1 - sum(
-        (j - i) % 2 == (s1 == s2) for (i, s1), (j, s2) in zip(trusted, trusted[1:])
-    )
+    if not classes:
+        raise InvalidArgument("empty class vector")
+    lost, key = 0, 0
+    for sign, small in classes:
+        key = -key
+        if not small and sign != key:
+            key = sign
+            lost += 1
+    return len(classes) - (lost or 1)
 
 
 def min_changes_of_classes(classes: Sequence[tuple[int, bool]]) -> int:
@@ -74,13 +89,31 @@ def min_changes_of_classes(classes: Sequence[tuple[int, bool]]) -> int:
     subsequence; deleting one entry from a sign sequence lowers its count by
     at most 2 (interior) or 1 (at an end), so peeling off the nonzero small
     entries one at a time never overshoots the subtraction budget.
+
+    One pass counts each change of nonzero sign, the first nonzero entry's
+    from none included, and takes 2 for every nonzero small entry; the one
+    spurious change and the ends' refunds are settled after it. Raises
+    InvalidArgument on an empty vector.
     """
-    count = sign_variations([sign for sign, _ in classes])
-    last = len(classes) - 1
-    for i, (sign, small) in enumerate(classes):
-        if small and sign != 0:
-            count -= 1 if (i == 0 or i == last) else 2
-    return max(count, 0)
+    if not classes:
+        raise InvalidArgument("empty class vector")
+    count, last = 0, 0
+    for sign, small in classes:
+        if small:
+            if not sign:
+                continue
+            count -= 2
+        if sign != last:
+            count += 1
+            last = sign
+    if last:
+        count -= 1
+    (first_sign, first_small), (end_sign, end_small) = classes[0], classes[-1]
+    if first_small and first_sign:
+        count += 1
+    if end_small and end_sign:
+        count += 1
+    return count if count > 0 else 0
 
 
 def max_sign_change(theta: Sequence, gamma) -> int:

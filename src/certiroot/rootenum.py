@@ -60,10 +60,10 @@ Classification evaluates nothing. At a unit cell the power is 1, so the
 form of each undecided element holds V(m0) and V(m1) exactly, and its class
 (sign, |V| < lim) follows. Every other element was certified off on a range
 holding the cell, where |V| >= lim with one sign: its class is (that sign,
-False). The descent records that sign when it pops the range where the
-element went off (see _ScaledChain.classify). A range decided whole is
-classified at m0 the same way, from V(m0) stored divided by 2^s and its
-level's limit.
+False). The descent records that class when it pops the range where the
+element went off, and each class vector starts as a copy of the records
+(see _ScaledChain.classify). A range decided whole is classified at m0 the
+same way, from V(m0) stored divided by 2^s and its level's limit.
 """
 
 from __future__ import annotations
@@ -256,8 +256,8 @@ class _ScaledChain:
     that certified_off evaluates a range left of 0 as its mirror right of 0.
 
     classify evaluates V by Horner's rule only when given m alone. root_enum
-    passes it the exact values its forms carry and the signs of the elements
-    certified off, which give the same classes (see classify).
+    passes it the exact values its forms carry and the classes of the
+    elements certified off, which give the same vector (see classify).
     """
 
     def __init__(self, chain, r: int, gamma: Fraction):
@@ -301,22 +301,23 @@ class _ScaledChain:
         forms, the (idx, form) pairs of its undecided elements, whose
         form[at] is V(m) divided by 2^s (at = 1 for m = m0, 2 for m = m1);
         lims, their level's limits ceil(lim / 2^s); and signs, one entry per
-        chain element, right for each element certified off on the range.
-        An element in forms has class (sign of form[at], |form[at]| <
-        lims[idx]), which decides as V(m) and lim would (see the module
-        docstring); at a unit cell s = 0 and form[at] is V(m) itself. An
-        element certified off has |V| >= lim with one sign on the range, so
-        its class is (signs[idx], False).
+        chain element, the class (sign, False) of each element certified off
+        on the range. An element certified off has |V| >= lim with one sign
+        on the range, so the vector starts as a copy of signs. An element in
+        forms then gets class (sign of form[at], |form[at]| < lims[idx]),
+        which decides as V(m) and lim would (see the module docstring); at a
+        unit cell s = 0 and form[at] is V(m) itself.
 
-        Why signs is right: root_enum writes the signs of the elements that
-        went off on a range, off there and undecided on its parent, when it
-        pops that range, each from the sign of the range's V(m0); those off
-        on the whole grid it writes before the descent. Take an element off
-        on a popped range L and the largest range X holding L on which it is
-        off, where it went off. Its sign, written at X's pop, is V's sign on
-        all of X, L included. Pops run depth first, so every range popped
-        after X and up to L lies inside X, and its parent, inside X too or X
-        itself, has the element off already: no such pop rewrites its sign.
+        Why signs is right: root_enum writes the classes of the elements
+        that went off on a range, off there and undecided on its parent,
+        when it pops that range, each from the sign of the range's V(m0);
+        those off on the whole grid it writes before the descent. Take an
+        element off on a popped range L and the largest range X holding L on
+        which it is off, where it went off. Its sign, written at X's pop, is
+        V's sign on all of X, L included. Pops run depth first, so every
+        range popped after X and up to L lies inside X, and its parent,
+        inside X too or X itself, has the element off already: no such pop
+        rewrites its class.
 
         Both ways give the exact classes, so they share the one-point cache.
         """
@@ -331,7 +332,7 @@ class _ScaledChain:
                 sign = 1 if v > 0 else (-1 if v < 0 else 0)
                 out.append((sign, abs(v) < lim))
         else:
-            out = [(s, False) for s in signs]
+            out = signs.copy()
             for idx, form in forms:
                 v, lim = form[at], lims[idx]
                 out[idx] = (1 if v > 0 else (-1 if v < 0 else 0), -lim < v < lim)
@@ -439,21 +440,22 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     splits = [_split_kernel(len(horner)) for horner, _ in scaled.polys]
 
     # A stack entry is a range with the centred forms of its undecided chain
-    # elements, its level and the (idx, sign) pairs of the elements that went
-    # off on it, written to signs when it pops (see _ScaledChain.classify);
-    # right halves go first, so ranges pop left to right.
-    lims, signs, forms = levels[top][1], [0] * len(chain), []
+    # elements, its level and the (idx, (sign, False)) pairs of the elements
+    # that went off on it, written to signs when it pops (see
+    # _ScaledChain.classify); right halves go first, so ranges pop left to
+    # right.
+    lims, signs, forms = levels[top][1], [None] * len(chain), []
     for idx in range(len(chain)):
         form = scaled.root_form(idx, half)
         if certified_off(idx, -half, half, form, lims[idx]):
-            signs[idx] = 1 if form[1] > 0 else -1
+            signs[idx] = (1, False) if form[1] > 0 else (-1, False)
         else:
             forms.append((idx, form))
     stack = [(-half, half, forms, top, ())]
     while stack:
         m0, m1, forms, h, went_off = stack.pop()
-        for idx, sign in went_off:
-            signs[idx] = sign
+        for idx, off in went_off:
+            signs[idx] = off
         if m1 - m0 == 1:
             left = classify(m0, signs, forms, unit_lims, 1)
             right = classify(m1, signs, forms, unit_lims, 2)
@@ -476,11 +478,11 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
             left, right = splits[idx](form, step)
             lim = halves[idx]
             if certified_off(idx, m0, mid, left, lim):
-                left_off.append((idx, 1 if left[1] > 0 else -1))
+                left_off.append((idx, (1, False) if left[1] > 0 else (-1, False)))
             else:
                 lefts.append((idx, left))
             if certified_off(idx, mid, m1, right, lim):
-                right_off.append((idx, 1 if right[1] > 0 else -1))
+                right_off.append((idx, (1, False) if right[1] > 0 else (-1, False)))
             else:
                 rights.append((idx, right))
         h -= 1

@@ -107,9 +107,18 @@ def sturm_eval(chain: SturmChain, alpha) -> EvaluationVector:
 
 
 def sign_variations(values: Sequence) -> int:
-    """Number of sign alternations in `values` after deleting zero entries."""
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    """Number of sign alternations in `values` after deleting zero entries.
+
+    One pass counts each change of nonzero sign, the first nonzero entry's
+    from none included, and drops that one."""
+    changes, last = 0, 0
+    for v in values:
+        if v:
+            sign = 1 if v > 0 else -1
+            if sign != last:
+                changes += 1
+                last = sign
+    return changes - 1 if changes else 0
 
 
 def count_roots(p: Polynomial, a, b) -> int:

@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from certiroot import (
+    InvalidArgument,
     ThresholdNonPositive,
     max_sign_change,
     min_sign_change,
     sign_extremes,
     sign_variations,
 )
+from certiroot.approxsign import max_changes_of_classes, min_changes_of_classes
 
 GAMMA = Fraction(1, 100)
 rng = random.Random(0xA51C)
@@ -77,6 +79,66 @@ def test_errors():
         max_sign_change((), GAMMA)
     with pytest.raises(ValueError):
         min_sign_change((), GAMMA)
+
+
+def test_empty_class_vector_is_an_error():
+    """An empty vector has no variation count: both counters raise the error
+    entry_classes raises, not -1 or 0."""
+    with pytest.raises(InvalidArgument, match="empty class vector"):
+        max_changes_of_classes(())
+    with pytest.raises(InvalidArgument, match="empty class vector"):
+        min_changes_of_classes(())
+
+
+# --- the one-pass counters against the list code they replaced ---------------
+
+
+def _reference_max_changes(classes):
+    """max_changes_of_classes as a sum over the pairs of consecutive trusted
+    entries, in list code: the reference for its one pass."""
+    trusted = [(i, sign) for i, (sign, small) in enumerate(classes) if not small]
+    return len(classes) - 1 - sum(
+        (j - i) % 2 == (s1 == s2) for (i, s1), (j, s2) in zip(trusted, trusted[1:])
+    )
+
+
+def _reference_min_changes(classes):
+    """min_changes_of_classes as the zeros-deleted variation count of the
+    signs less the small entries' penalties, in list code: the reference for
+    its one pass."""
+    signs = [sign for sign, _ in classes if sign != 0]
+    count = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    last = len(classes) - 1
+    for i, (sign, small) in enumerate(classes):
+        if small and sign != 0:
+            count -= 1 if (i == 0 or i == last) else 2
+    return max(count, 0)
+
+
+# The classes an entry can have: a trusted entry is nonzero, an exact zero small.
+REACHABLE_CLASSES = ((1, False), (-1, False), (1, True), (-1, True), (0, True))
+
+
+def test_counters_match_the_list_code_on_every_short_class_vector():
+    """Both counters equal their references on every class vector of length
+    1..7 over the five reachable classes: 97,655 vectors."""
+    vectors = 0
+    for classes in exhaustive_vectors(REACHABLE_CLASSES, 7):
+        assert max_changes_of_classes(classes) == _reference_max_changes(classes), classes
+        assert min_changes_of_classes(classes) == _reference_min_changes(classes), classes
+        vectors += 1
+    assert vectors == 97_655
+
+
+def test_importing_approxsign_loads_no_sturm(run_limited):
+    """The counters need no Sturm code, so approxsign imports no sturm."""
+    code = (
+        "import sys\n"
+        "import certiroot.approxsign\n"
+        "assert 'certiroot.sturm' not in sys.modules, sorted(sys.modules)\n"
+    )
+    proc = run_limited(code)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # --- oracle properties ------------------------------------------------------

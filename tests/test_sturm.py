@@ -1,5 +1,6 @@
 """Sturm chains, sign variations, exact root counting, Cauchy bound."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -113,6 +114,25 @@ def test_sign_variations_frozen():
 def test_sign_variations_zeros_deleted():
     assert sign_variations((1, 0, -1)) == sign_variations((1, -1))
     assert sign_variations((0, 5, 0, 5, 0)) == 0
+
+
+def _reference_sign_variations(values):
+    """sign_variations as a filtered list and a zip: the reference for its
+    one pass."""
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def test_sign_variations_matches_the_list_code():
+    """Equal to the list code on every vector over {-1, 0, 1, 1/3} of length
+    0..7: 21,845 vectors."""
+    alphabet = (-1, 0, 1, Fraction(1, 3))
+    vectors = 0
+    for n in range(8):
+        for values in itertools.product(alphabet, repeat=n):
+            assert sign_variations(values) == _reference_sign_variations(values), values
+            vectors += 1
+    assert vectors == 21_845
 
 
 # --- count_roots ------------------------------------------------------------
