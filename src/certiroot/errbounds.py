@@ -26,7 +26,7 @@ from .errors import (
     SeparationTooSmall,
     echo,
 )
-from .polyalg import Polynomial, _as_fraction, _nonconstant_degree
+from .polyalg import Polynomial, _as_fraction, _as_int, _nonconstant_degree
 
 
 class ApproxContext(NamedTuple("ApproxContext", [("r", int), ("d", int)])):
@@ -35,6 +35,7 @@ class ApproxContext(NamedTuple("ApproxContext", [("r", int), ("d", int)])):
     __slots__ = ()
 
     def __new__(cls, r: int, d: int):
+        r, d = _as_int(r, "ApproxContext r"), _as_int(d, "ApproxContext d")
         if r < 1 or d < 1:
             raise InvalidArgument("ApproxContext needs r >= 1 and d >= 1")
         return super().__new__(cls, r, d)

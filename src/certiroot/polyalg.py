@@ -68,6 +68,14 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {echo(value)}")
 
 
+def _as_int(value, name: str) -> int:
+    """value, if it is an int; a TypeError otherwise, as _as_fraction raises
+    for a float, so that 2.5 fails where it is given, not deep in a call."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {echo(value)}")
+    return value
+
+
 class Polynomial:
     """Immutable univariate polynomial with exact rational coefficients.
 

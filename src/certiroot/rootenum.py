@@ -60,10 +60,15 @@ Classification evaluates nothing. At a unit cell the power is 1, so the
 form of each undecided element holds V(m0) and V(m1) exactly, and its class
 (sign, |V| < lim) follows. Every other element was certified off on a range
 holding the cell, where |V| >= lim with one sign: its class is (that sign,
-False). The descent records that class when it pops the range where the
-element went off, and each class vector starts as a copy of the records
-(see _ScaledChain.classify). A range decided whole is classified at m0 the
-same way, from V(m0) stored divided by 2^s and its level's limit.
+False). Each range carries these classes, one list entry per chain element
+(None for an undecided one). A half shares its parent's list, or, when an
+element went off on it, gets a copy with that element's class written, its
+sign taken from the half's V(m0). An element off on a range is off on every
+range inside it, and no list is written after its range is pushed, so a
+range's list holds the classes of exactly its off elements, and each class
+vector starts as a copy of it (see _ScaledChain.classify). A range decided
+whole is classified at m0 the same way, from V(m0) stored divided by 2^s
+and its level's limit.
 """
 
 from __future__ import annotations
@@ -80,7 +85,13 @@ from .errors import (
     ThresholdNonPositive,
     echo,
 )
-from .polyalg import Polynomial, _as_fraction, _nonconstant_degree, _over_common_denominator
+from .polyalg import (
+    Polynomial,
+    _as_fraction,
+    _as_int,
+    _nonconstant_degree,
+    _over_common_denominator,
+)
 from .sturm import cauchy_bound, sturm_chain
 
 
@@ -90,7 +101,7 @@ class PrecisionParams(NamedTuple("PrecisionParams", [("r", int), ("gamma", Fract
     __slots__ = ()
 
     def __new__(cls, r: int, gamma):
-        g = _as_fraction(gamma)
+        r, g = _as_int(r, "precision r"), _as_fraction(gamma)
         if g <= 0:
             raise ThresholdNonPositive(f"gamma must be > 0, got {echo(g)}")
         if r < 1:
@@ -255,9 +266,9 @@ class _ScaledChain:
     mirrored[idx] holds the Horner list of V(-m), the odd powers negated, so
     that certified_off evaluates a range left of 0 as its mirror right of 0.
 
-    classify evaluates V by Horner's rule only when given m alone. root_enum
-    passes it the exact values its forms carry and the classes of the
-    elements certified off, which give the same vector (see classify).
+    Nothing is written after __init__: classify builds each class vector
+    from what root_enum passes it, the exact values its forms carry and the
+    classes of the elements certified off, and evaluates no V.
     """
 
     def __init__(self, chain, r: int, gamma: Fraction):
@@ -274,9 +285,6 @@ class _ScaledChain:
             self.mirrored.append([-h if (k - j) & 1 else h for j, h in enumerate(horner)])
         self.lims = [[-(-lim >> (len(horner) - 1) * h) for horner, lim in self.polys]
                      for h in range(r + 1)]
-        # Leaves pop left to right, so the only grid point classified twice
-        # is the previous leaf's right end: keep just the latest result.
-        self._last = (None, ())
 
     def levels(self, top: int) -> list:
         """(split step, limits of a range's forms, limits of its halves') for
@@ -293,51 +301,28 @@ class _ScaledChain:
         a = [h * half**j >> s for j, h in enumerate(reversed(horner))]
         return [a, sum(a[::2]) - sum(a[1::2]), sum(a), 0, a[0], sum(map(abs, a))]
 
-    def classify(self, m: int, signs=None, forms=None, lims=None, at=None) -> tuple:
-        """Entry classes ((sign, small), ...) of the chain at grid point m/2^r.
+    def classify(self, m: int, signs: list, forms: list, lims: list, at: int) -> list:
+        """Entry classes [(sign, small), ...] of the chain at grid point m/2^r,
+        from what the range [m0, m1] that root_enum pops already holds.
 
-        Given m alone, each V(m) is evaluated by Horner's rule. root_enum
-        passes, by position, what the range [m0, m1] it pops already holds:
-        forms, the (idx, form) pairs of its undecided elements, whose
-        form[at] is V(m) divided by 2^s (at = 1 for m = m0, 2 for m = m1);
-        lims, their level's limits ceil(lim / 2^s); and signs, one entry per
-        chain element, the class (sign, False) of each element certified off
-        on the range. An element certified off has |V| >= lim with one sign
-        on the range, so the vector starts as a copy of signs. An element in
-        forms then gets class (sign of form[at], |form[at]| < lims[idx]),
-        which decides as V(m) and lim would (see the module docstring); at a
-        unit cell s = 0 and form[at] is V(m) itself.
+        signs has one entry per chain element: the class (sign, False) of
+        each element certified off on the range, None for the others. Such an
+        element has |V| >= lim with one sign on the range, so the vector
+        starts as a copy of signs. forms holds the (idx, form) pairs of the
+        undecided elements, whose form[at] is V(m) divided by 2^s (at = 1 for
+        m = m0, 2 for m = m1), and lims their level's limits ceil(lim / 2^s):
+        each gets class (sign of form[at], |form[at]| < lims[idx]), which
+        decides as V(m) and lim would (see the module docstring); at a unit
+        cell s = 0 and form[at] is V(m) itself.
 
-        Why signs is right: root_enum writes the classes of the elements
-        that went off on a range, off there and undecided on its parent,
-        when it pops that range, each from the sign of the range's V(m0);
-        those off on the whole grid it writes before the descent. Take an
-        element off on a popped range L and the largest range X holding L on
-        which it is off, where it went off. Its sign, written at X's pop, is
-        V's sign on all of X, L included. Pops run depth first, so every
-        range popped after X and up to L lies inside X, and its parent,
-        inside X too or X itself, has the element off already: no such pop
-        rewrites its class.
-
-        Both ways give the exact classes, so they share the one-point cache.
+        m is not read. It stays the first argument because the benchmark's
+        tracer counts the distinct grid points classified by it.
         """
-        if m == self._last[0]:
-            return self._last[1]
-        if signs is None:
-            out = []
-            for horner, lim in self.polys:
-                v = horner[0]
-                for h in horner[1:]:
-                    v = v * m + h
-                sign = 1 if v > 0 else (-1 if v < 0 else 0)
-                out.append((sign, abs(v) < lim))
-        else:
-            out = signs.copy()
-            for idx, form in forms:
-                v, lim = form[at], lims[idx]
-                out[idx] = (1 if v > 0 else (-1 if v < 0 else 0), -lim < v < lim)
-        self._last = (m, tuple(out))
-        return self._last[1]
+        out = signs.copy()
+        for idx, form in forms:
+            v, lim = form[at], lims[idx]
+            out[idx] = (1 if v > 0 else (-1 if v < 0 else 0), -lim < v < lim)
+        return out
 
     def certified_off(self, idx: int, m0: int, m1: int, form: list, lim: int) -> bool:
         """True if |chain[idx]| >= gamma provably holds on [m0/2^r, m1/2^r].
@@ -440,8 +425,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     splits = [_split_kernel(len(horner)) for horner, _ in scaled.polys]
 
     # A stack entry is a range with the centred forms of its undecided chain
-    # elements, its level and the (idx, (sign, False)) pairs of the elements
-    # that went off on it, written to signs when it pops (see
+    # elements, its level and the classes of its elements certified off (see
     # _ScaledChain.classify); right halves go first, so ranges pop left to
     # right.
     lims, signs, forms = levels[top][1], [None] * len(chain), []
@@ -451,11 +435,9 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
             signs[idx] = (1, False) if form[1] > 0 else (-1, False)
         else:
             forms.append((idx, form))
-    stack = [(-half, half, forms, top, ())]
+    stack = [(-half, half, forms, top, signs)]
     while stack:
-        m0, m1, forms, h, went_off = stack.pop()
-        for idx, off in went_off:
-            signs[idx] = off
+        m0, m1, forms, h, signs = stack.pop()
         if m1 - m0 == 1:
             left = classify(m0, signs, forms, unit_lims, 1)
             right = classify(m1, signs, forms, unit_lims, 2)
@@ -473,23 +455,27 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
                 candidates.extend(Fraction(2 * m + 1, two_r1) for m in range(m0, m1))
             continue
         mid = (m0 + m1) >> 1
-        lefts, rights, left_off, right_off = [], [], [], []
+        lefts, rights, left_signs, right_signs = [], [], signs, signs
         for idx, form in forms:
             left, right = splits[idx](form, step)
             lim = halves[idx]
             if certified_off(idx, m0, mid, left, lim):
-                left_off.append((idx, (1, False) if left[1] > 0 else (-1, False)))
+                if left_signs is signs:
+                    left_signs = signs.copy()
+                left_signs[idx] = (1, False) if left[1] > 0 else (-1, False)
             else:
                 lefts.append((idx, left))
             if certified_off(idx, mid, m1, right, lim):
-                right_off.append((idx, (1, False) if right[1] > 0 else (-1, False)))
+                if right_signs is signs:
+                    right_signs = signs.copy()
+                right_signs[idx] = (1, False) if right[1] > 0 else (-1, False)
             else:
                 rights.append((idx, right))
         h -= 1
         if rights:
-            stack.append((mid, m1, rights, h, right_off))
+            stack.append((mid, m1, rights, h, right_signs))
         if lefts:
-            stack.append((m0, mid, lefts, h, left_off))
+            stack.append((m0, mid, lefts, h, left_signs))
     return grid._replace(candidates=tuple(candidates))
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidArgument, LengthMismatch, ScheduleOverflow, SourceExhausted, echo
-from .polyalg import _as_fraction
+from .polyalg import _as_fraction, _as_int
 
 
 class BitSource:
@@ -73,7 +73,7 @@ class StageSchedule(NamedTuple("StageSchedule", [("stages", tuple), ("s", Fracti
     __slots__ = ()
 
     def __new__(cls, stages, s):
-        stages = tuple(int(h) for h in stages)
+        stages = tuple(_as_int(h, "stage boundary") for h in stages)
         if not stages:
             raise InvalidArgument("schedule needs at least one stage")
         if stages[0] != 2:

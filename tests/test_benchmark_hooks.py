@@ -59,6 +59,9 @@ def test_a_traced_call_counts_every_counter(tracer, mods):
     assert all(type(value) in (int, float) for value in counts.values()), counts
     assert counts["rootenum.certify_calls"] > counts["rootenum.certify_pruned"] > 0
     assert counts["rootenum.classify_calls"] > 0 and counts["rootenum.cells_fired"] == 20
+    # The tracer counts distinct points by classify's first argument m, which
+    # classify itself does not read.
+    assert 0 < counts["rootenum.classify_points"] <= counts["rootenum.classify_calls"]
     # root_enum builds its chain with sturm.sturm_chain and scales it with
     # _ScaledChain(chain, r, gamma), once each.
     assert counts["sturm.chain_calls"] == 1

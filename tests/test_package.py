@@ -164,12 +164,15 @@ def test_copy_deepcopy_and_pickle_round_trip(case):
 VALIDATED = [
     (PrecisionParams, {"r": 4, "gamma": "1/256"},
      [({"gamma": 0}, ThresholdNonPositive), ({"gamma": "-1/2"}, ThresholdNonPositive),
-      ({"r": 0}, InvalidArgument), ({"gamma": "abc"}, InvalidArgument)]),
+      ({"r": 0}, InvalidArgument), ({"gamma": "abc"}, InvalidArgument),
+      ({"r": 2.5}, TypeError), ({"r": "4"}, TypeError)]),
     (ApproxContext, {"r": 8, "d": 2},
-     [({"r": 0}, InvalidArgument), ({"d": 0}, InvalidArgument)]),
+     [({"r": 0}, InvalidArgument), ({"d": 0}, InvalidArgument),
+      ({"r": 2.5}, TypeError), ({"d": 2.0}, TypeError)]),
     (StageSchedule, {"stages": (2, 4), "s": "1/2"},
      [({"stages": ()}, InvalidArgument), ({"stages": (3,)}, InvalidArgument),
-      ({"stages": (2, 3)}, InvalidArgument), ({"s": 2}, InvalidArgument)]),
+      ({"stages": (2, 3)}, InvalidArgument), ({"s": 2}, InvalidArgument),
+      ({"stages": (2.9, 4.5)}, TypeError), ({"stages": (2, "4")}, TypeError)]),
 ]
 
 

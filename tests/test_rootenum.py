@@ -38,6 +38,7 @@ from certiroot import (
     sturm_chain,
     sturm_eval,
 )
+from certiroot.approxsign import entry_classes
 
 rng = random.Random(0x600D)
 
@@ -736,20 +737,23 @@ def _planted_floor_calls(seed, count):
                 planted.factor_floor)
 
 
-def test_carried_classes_equal_horner_classes(monkeypatch):
+def test_carried_classes_equal_exact_classes(monkeypatch):
     """root_enum classifies each leaf cell's ends and each uniform range from
     what the descent carries: the forms' exact values for undecided elements
-    and the recorded signs of the elements certified off. Every class vector
-    it gets equals the one that Horner evaluation gives at the same point:
-    on Wilkinson d=20, on the cubic that fires every cell (most of its points
-    classify uniform ranges), on x^2 - 2 at a coarse gamma (some uniform
-    ranges too) and on planted polynomials at the floor."""
+    and each range's classes of the elements certified off. Every class
+    vector it gets equals the one that the public exact path gives at the
+    same point, the chain evaluated in Fractions and classified against
+    gamma: on Wilkinson d=20, on the cubic that fires every cell (most of its
+    points classify uniform ranges), on x^2 - 2 at a coarse gamma (some
+    uniform ranges too) and on planted polynomials at the floor. Each is
+    compared after root_enum returns, so a vector written after classify
+    returned it fails too."""
     seen = []
     classify = rootenum._ScaledChain.classify
 
     def spy(self, m, *known):
         classes = classify(self, m, *known)
-        seen.append((m, bool(known), classes))
+        seen.append((m, classes))
         return classes
 
     monkeypatch.setattr(rootenum._ScaledChain, "classify", spy)
@@ -765,10 +769,11 @@ def test_carried_classes_equal_horner_classes(monkeypatch):
     for poly, r, gamma in calls:
         seen.clear()
         root_enum(poly, PrecisionParams(r=r, gamma=gamma))
-        oracle = rootenum._ScaledChain(sturm_chain(poly), r, gamma)
-        assert seen and all(known for _, known, _ in seen), (poly, r)
-        for m, _, classes in seen:
-            assert classes == classify(oracle, m), (poly, r, gamma, m)
+        chain = sturm_chain(poly)
+        assert seen, (poly, r)
+        for m, classes in seen:
+            assert classes == entry_classes(sturm_eval(chain, Fraction(m, 1 << r)), gamma), (
+                poly, r, gamma, m)
         checked += len(seen)
     assert checked > 2000
 
