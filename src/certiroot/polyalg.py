@@ -69,9 +69,10 @@ def _as_fraction(value) -> Fraction:
 
 
 def _as_int(value, name: str) -> int:
-    """value, if it is an int; a TypeError otherwise, as _as_fraction raises
-    for a float, so that 2.5 fails where it is given, not deep in a call."""
-    if not isinstance(value, int):
+    """value, if it is an int other than a bool; a TypeError otherwise, as
+    _as_fraction raises for a float, so that 2.5 or True fails where it is
+    given, not deep in a call or as r=True in a repr."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {echo(value)}")
     return value
 

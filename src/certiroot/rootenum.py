@@ -69,12 +69,18 @@ range's list holds the classes of exactly its off elements, and each class
 vector starts as a copy of it (see _ScaledChain.classify). A range decided
 whole is classified at m0 the same way, from V(m0) stored divided by 2^s
 and its level's limit.
+
+The descent records each fired cell [m, m + 1] as the odd numerator 2m + 1
+of its midpoint, an int: a range decided whole adds all of its cells as one
+range of odd ints. The candidate Fractions are built once, at the end, by
+_dyadic, which skips the gcd that an odd numerator over 2^(r+1) never needs.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 from .approxsign import max_changes_of_classes, min_changes_of_classes
@@ -116,8 +122,9 @@ class PrecisionParams(NamedTuple("PrecisionParams", [("r", int), ("gamma", Fract
 class RootCandidateList(NamedTuple):
     """Sorted dyadic candidates plus the grid metadata that produced them.
 
-    candidates are strictly increasing Fractions of the form m/2^k;
-    interval_width is the grid spacing 2^-r; length_bound is 6*d^2.
+    candidates are strictly increasing Fractions (2m+1)/2^(r+1), the fired
+    cells' midpoints, in lowest terms; interval_width is the grid spacing
+    2^-r; length_bound is 6*d^2.
     beta/grid_bound/r_prime are None only on the degenerate constant-
     difference path of intersect().
     """
@@ -391,6 +398,23 @@ class _ScaledChain:
         return s1 < c0 and c0 + s1 < lim
 
 
+def _dyadic(n: int, den: int) -> Fraction:
+    """Fraction(n, den) for an odd n and a power of two den, built without
+    Fraction.__new__'s type checks and gcd (Python 3.12 names the same step
+    Fraction._from_coprime_ints).
+
+    Exact: an odd n and a power of two share no factor, so n/den is already
+    in lowest terms with den > 0, and the result equals Fraction(n, den) in
+    value, hash, repr and pickling. It cannot fail silently: Fraction and its
+    numbers bases declare __slots__ and give instances no __dict__, so were a
+    slot ever renamed, the assignment would raise AttributeError, not build a
+    wrong value.
+    """
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = n, den
+    return q
+
+
 def _grid(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     """root_enum's checks and grid, with no candidates: a report's fields
     that need no descent."""
@@ -410,14 +434,17 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     Raises DegreeTooLow below degree 1 and DegreeUnresolved when |leading|
     <= 2*gamma (an approximately-known vector whose top coefficient cannot
     be trusted to be nonzero would make the Euclidean divisions meaningless).
+
+    The descent gathers the fired cells as the odd numerators of their
+    midpoints and builds the candidate Fractions over 2^(r+1) once, at the
+    end (see _dyadic).
     """
     grid, r = _grid(c, params), params.r
     chain = sturm_chain(c)
     scaled = _ScaledChain(chain, r, params.gamma)
     half = grid.grid_bound << r  # grid numerators run over [-half, half]
     top = grid.r_prime - 1  # the whole grid's level: half = 2^top
-    candidates: list[Fraction] = []
-    two_r1 = 1 << (r + 1)
+    fired: list[int] = []  # the odd numerators 2m + 1 of the fired cells' midpoints
     certified_off, certified_small = scaled.certified_off, scaled.certified_small
     classify = scaled.classify
     levels = scaled.levels(top)
@@ -442,7 +469,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
             left = classify(m0, signs, forms, unit_lims, 1)
             right = classify(m1, signs, forms, unit_lims, 2)
             if max_changes_of_classes(left) - min_changes_of_classes(right) >= 1:
-                candidates.append(Fraction(2 * m0 + 1, two_r1))
+                fired.append(2 * m0 + 1)
             continue
         step, lims, halves = levels[h]
         for idx, form in forms:  # |c0| >= lim, the common case, needs no call
@@ -452,7 +479,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
         else:  # one class vector at every grid point: all cells fire or none
             same = classify(m0, signs, forms, lims, 1)
             if max_changes_of_classes(same) - min_changes_of_classes(same) >= 1:
-                candidates.extend(Fraction(2 * m + 1, two_r1) for m in range(m0, m1))
+                fired.extend(range(2 * m0 + 1, 2 * m1, 2))
             continue
         mid = (m0 + m1) >> 1
         lefts, rights, left_signs, right_signs = [], [], signs, signs
@@ -476,7 +503,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
             stack.append((mid, m1, rights, h, right_signs))
         if lefts:
             stack.append((m0, mid, lefts, h, left_signs))
-    return grid._replace(candidates=tuple(candidates))
+    return grid._replace(candidates=tuple(map(_dyadic, fired, repeat(1 << (r + 1)))))
 
 
 def intersect(a: Polynomial, b: Polynomial, params: PrecisionParams) -> RootCandidateList:

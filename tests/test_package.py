@@ -191,3 +191,21 @@ def test_validation_on_every_constructor_path(cls, good, bad):
         for path, construct in paths.items():
             with pytest.raises(error):
                 construct()
+
+
+# (constructor given a bool where an int is asked, the name its TypeError gives)
+BOOL_INTS = {
+    "PrecisionParams": (lambda b: PrecisionParams(b, Fraction(1, 64)), "precision r"),
+    "ApproxContext": (lambda b: ApproxContext(r=b, d=b), "ApproxContext r"),
+    "StageSchedule": (lambda b: StageSchedule((2, b), "1/2"), "stage boundary"),
+}
+
+
+@pytest.mark.parametrize("case", BOOL_INTS)
+def test_bool_is_refused_where_an_int_is_asked(case):
+    """bool subclasses int, but True is no precision, degree or boundary: it
+    raises the TypeError a float does, rather than reading r=True in a repr."""
+    build, name = BOOL_INTS[case]
+    for b in (True, False):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {b}$"):
+            build(b)

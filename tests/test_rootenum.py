@@ -6,9 +6,11 @@ the *identical* candidate tuple — pruning is an optimization with no
 licensed change in observable behavior.
 """
 
+import copy
 import functools
 import hashlib
 import math
+import pickle
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -807,19 +809,58 @@ def test_taylor_shift_count_on_wilkinson_20(monkeypatch):
 # --- output invariants ------------------------------------------------------
 
 
-def test_candidates_sorted_dyadic_and_deterministic():
+def test_candidates_sorted_dyadic_and_deterministic(monkeypatch):
+    """Every candidate is a plain Fraction (2m+1)/2^(r+1) in lowest terms,
+    equal in value and hash to the one Fraction's own constructor builds.
+
+    At gamma = 2^-14 no range is decided whole, so each candidate is a unit
+    cell's; 1/64 and 2^-r may decide ranges whole, and x^2 - 2 at 1/64, r = 10
+    and the every-cell constant-element input do: more cells fire there than
+    half the classify calls, which no descent of unit cells alone can give."""
+    cases = []
     for _ in range(10):
         deg = rng.randint(1, 4)
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(deg)] + [Fraction(1)]
         poly = Polynomial(coeffs)
-        params = PrecisionParams(r=5, gamma=Fraction(1, 2**14))
+        cases += [(poly, PrecisionParams(r=5, gamma=g), False)
+                  for g in (Fraction(1, 2**14), Fraction(1, 64), Fraction(1, 2**5))]
+    cases += [(X2_MINUS_2, PrecisionParams(r=10, gamma=Fraction(1, 64)), True),
+              (Polynomial([-2, -8, -7, 2]), PrecisionParams(r=4, gamma=Fraction(1, 64)), True)]
+    classify, calls = rootenum._ScaledChain.classify, []
+    monkeypatch.setattr(rootenum._ScaledChain, "classify",
+                        lambda self, *known: calls.append(1) or classify(self, *known))
+    for poly, params, whole in cases:
+        calls.clear()
         first = root_enum(poly, params)
+        if whole:
+            assert 2 * len(first.candidates) > len(calls)
         second = root_enum(poly, params)
         assert first.candidates == second.candidates
-        assert list(first.candidates) == sorted(first.candidates)
+        assert list(first.candidates) == sorted(set(first.candidates))
         for q in first.candidates:
+            assert type(q) is Fraction
             assert q.denominator == 2 ** (params.r + 1)
             assert q.numerator % 2 != 0
+            assert math.gcd(q.numerator, q.denominator) == 1
+            built = Fraction(q.numerator, q.denominator)
+            assert q == built and hash(q) == hash(built)
+
+
+@pytest.mark.parametrize("den", [2, 1 << 17, 1 << 1025])
+@pytest.mark.parametrize("n", [1, -1, 3, -3, (1 << 200) + 1, -(1 << 200) - 1])
+def test_dyadic_is_the_fraction_it_stands_for(n, den):
+    """_dyadic sets Fraction's slots directly; it must build the same value
+    Fraction(n, den) does on every supported Python, or fail loudly."""
+    q, want = rootenum._dyadic(n, den), Fraction(n, den)
+    assert type(q) is Fraction
+    assert q == want and hash(q) == hash(want)
+    assert repr(q) == repr(want) and str(q) == str(want)
+    assert (q.numerator, q.denominator) == (want.numerator, want.denominator) == (n, den)
+    for copied in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+        assert type(copied) is Fraction and copied == want and hash(copied) == hash(want)
+    assert q + q == 2 * want and q * q == want * want and q - want == 0
+    assert q / 3 == want / 3 and -q == -want and abs(q) == abs(want)
+    assert q < want + Fraction(1, den) and float(q) == float(want)
 
 
 def test_length_bound_metadata():
