@@ -28,6 +28,7 @@ runs at every cell end it classifies.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidArgument, ThresholdNonPositive, echo
@@ -38,9 +39,12 @@ from .errors import InvalidArgument, ThresholdNonPositive, echo
 
 
 def entry_classes(theta: Sequence, gamma) -> list[tuple[int, bool]]:
-    """Classify each entry of theta as (exact sign, |entry| < gamma)."""
+    """Classify each entry of theta as (exact sign, |entry| < gamma). gamma, an
+    int or a Fraction, is compared unconverted, and the entries are unchecked."""
     if len(theta) == 0:
         raise InvalidArgument("empty evaluation vector")
+    if not isinstance(gamma, (int, Fraction)) or isinstance(gamma, bool):
+        raise TypeError(f"not an exact rational: {echo(gamma)}")
     if gamma <= 0:
         raise ThresholdNonPositive(f"gamma must be > 0, got {echo(gamma)}")
     out = []

@@ -58,12 +58,8 @@ def power_diff_bound(a, b, k: int, r: int) -> Fraction:
     Raises PreconditionViolated when |a - b| > 2^-r (inputs exactly 2^-r
     apart sit on the admissible boundary and are accepted).
     """
-    a = _as_fraction(a)
-    b = _as_fraction(b)
-    if k < 1:
-        raise InvalidArgument("k must be >= 1")
-    if r < 1:
-        raise InvalidArgument("r must be >= 1")
+    a, b = _as_fraction(a), _as_fraction(b)
+    k, r = _as_int(k, "k", 1), _as_int(r, "r", 1)
     step = Fraction(1, 2**r)
     if abs(a - b) > step:
         raise PreconditionViolated(f"|a-b| = {echo(abs(a - b))} exceeds 2^-{r}")
@@ -74,8 +70,7 @@ def power_diff_bound(a, b, k: int, r: int) -> Fraction:
 
 def _drift_budget(coeffs: Polynomial, x_approx: Fraction, r: int, t_floor: int) -> Fraction:
     """(d+1) * 2^-r * (t + d*t*max|a_i|) with t = max(t_floor, u, u^d), u = |x~| + 2^-r."""
-    if r < 1:
-        raise InvalidArgument("r must be >= 1")
+    r = _as_int(r, "r", 1)
     d = coeffs.degree
     step = Fraction(1, 2**r)
     u = abs(x_approx) + step

@@ -3,8 +3,9 @@
 Every failure mode that callers are expected to handle derives from
 :class:`CertirootError`, so the CLI (and library users) can catch one base
 class and map the concrete type to a structured error record. A bad
-argument raises :class:`InvalidArgument`, also a ``ValueError``; only
-programming errors (a value that is not an exact rational, a bit index < 1) do not.
+argument, an int below its least included, raises :class:`InvalidArgument`,
+also a ``ValueError``; only programming errors (a float or a bool where an
+exact rational or an int is asked, a bit index < 1) do not.
 A message shows each value it names through :func:`echo`, so a long one is cut.
 """
 

@@ -58,7 +58,7 @@ def _fraction_from_str(text: str) -> Fraction:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -68,12 +68,14 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {echo(value)}")
 
 
-def _as_int(value, name: str) -> int:
-    """value, if it is an int other than a bool; a TypeError otherwise, as
-    _as_fraction raises for a float, so that 2.5 or True fails where it is
-    given, not deep in a call or as r=True in a repr."""
+def _as_int(value, name: str, least: int | None = None) -> int:
+    """value, through the one gate for int arguments: a float or a bool is a
+    TypeError, as in _as_fraction, and a value below least an InvalidArgument,
+    so 2.5, True or 0 fails where it is given, not deep in a call or in a repr."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {echo(value)}")
+    if least is not None and value < least:
+        raise InvalidArgument(f"{name} must be >= {least}")
     return value
 
 

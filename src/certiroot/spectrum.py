@@ -106,8 +106,7 @@ def default_schedule(j_max: int, s=Fraction(1, 2), max_bits: int = 2**20) -> Sta
     configured bit budget — the next boundary after 65536 already needs
     2^65536 bits).
     """
-    if j_max < 1:
-        raise InvalidArgument("j_max must be >= 1")
+    j_max, max_bits = _as_int(j_max, "j_max", 1), _as_int(max_bits, "max_bits")
     stages = [2]
     for _ in range(j_max - 1):
         if max_bits >> stages[-1] < 1:  # max_bits < 2^h, without building 2^h
@@ -150,7 +149,7 @@ def interleave(y: BitSource, coeff_bits, sched: StageSchedule, n: int) -> str:
     input). n must not exceed the last stage boundary (LengthMismatch).
     Raises SourceExhausted when any source runs out.
     """
-    d = len(coeff_bits)
+    n, d = _as_int(n, "n"), len(coeff_bits)
     if d < 1:
         raise InvalidArgument("need at least one coefficient source")
     if n < 0 or n > sched.total_length:
@@ -172,9 +171,7 @@ def extract_blocks(x: str, sched: StageSchedule, d: int):
     precondition — x came from interleave — makes them agree). Raises
     LengthMismatch when x is longer than the schedule covers.
     """
-    if d < 1:
-        raise InvalidArgument("d must be >= 1")
-    n = len(x)
+    d, n = _as_int(d, "d", 1), len(x)
     if n > sched.total_length:
         raise LengthMismatch(f"{n} bits exceed the schedule's {sched.total_length}")
     if set(x) - {"0", "1"}:

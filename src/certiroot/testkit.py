@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegreeOverflow, InvalidArgument, NoSignChange, TooLong, echo
-from .polyalg import Polynomial, _as_fraction
+from .polyalg import Polynomial, _as_fraction, _as_int
 
 
 class PlantedSpec(NamedTuple):
@@ -51,10 +51,9 @@ def plant(spec: PlantedSpec, max_degree: int = 64) -> PlantedPolynomial:
     leading = _as_fraction(spec.leading)
     if leading == 0:
         raise InvalidArgument("leading factor must be nonzero")
-    roots = [(_as_fraction(r), int(m)) for r, m in spec.real_roots]
+    roots = [(_as_fraction(r), _as_int(m, "multiplicity", 1)) for r, m in spec.real_roots]
     quads = [(_as_fraction(p), _as_fraction(q)) for p, q in spec.irreducible_quadratics]
-    if any(m < 1 for _, m in roots):
-        raise InvalidArgument("multiplicities must be >= 1")
+    max_degree = _as_int(max_degree, "max_degree")
     if len({r for r, _ in roots}) != len(roots):
         raise InvalidArgument("planted real roots must be distinct")
     floor = abs(leading)
@@ -94,6 +93,8 @@ def sign_extremes(theta, gamma) -> tuple[int, int]:
         raise TooLong(f"{n} entries: enumeration is 2^k, cap is 20")
     if n == 0:
         raise InvalidArgument("empty vector")
+    if not isinstance(gamma, (int, Fraction)) or isinstance(gamma, bool):
+        raise TypeError(f"not an exact rational: {echo(gamma)}")
     if gamma <= 0:
         raise InvalidArgument("gamma must be > 0")
     fixed = []
@@ -125,8 +126,7 @@ def bisect_root(p: Polynomial, lo, hi, r: int) -> Fraction:
     Requires eval(p, lo) * eval(p, hi) < 0 (NoSignChange otherwise). Exact
     rational arithmetic throughout; an exactly-hit root is returned as is.
     """
-    lo = _as_fraction(lo)
-    hi = _as_fraction(hi)
+    lo, hi, r = _as_fraction(lo), _as_fraction(hi), _as_int(r, "r", 0)
     flo, fhi = p.eval(lo), p.eval(hi)
     if flo * fhi >= 0:
         raise NoSignChange(f"no sign change over [{echo(lo)}, {echo(hi)}]")

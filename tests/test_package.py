@@ -16,6 +16,7 @@ import pytest
 import certiroot
 from certiroot import (
     ApproxContext,
+    BitSource,
     InvalidArgument,
     PlantedPolynomial,
     PlantedSpec,
@@ -24,9 +25,20 @@ from certiroot import (
     RootCandidateList,
     StageSchedule,
     ThresholdNonPositive,
+    bisect_root,
+    ceil_log2,
+    default_schedule,
+    eval_tolerance,
+    extract_blocks,
+    interleave,
     intersect,
+    intersection_predicate,
+    max_sign_change,
+    min_sign_change,
     plant,
+    power_diff_bound,
     root_enum,
+    sign_extremes,
 )
 
 SRC = str(Path(certiroot.__file__).resolve().parents[1])
@@ -165,14 +177,15 @@ VALIDATED = [
     (PrecisionParams, {"r": 4, "gamma": "1/256"},
      [({"gamma": 0}, ThresholdNonPositive), ({"gamma": "-1/2"}, ThresholdNonPositive),
       ({"r": 0}, InvalidArgument), ({"gamma": "abc"}, InvalidArgument),
-      ({"r": 2.5}, TypeError), ({"r": "4"}, TypeError)]),
+      ({"r": 2.5}, TypeError), ({"r": "4"}, TypeError), ({"gamma": True}, TypeError)]),
     (ApproxContext, {"r": 8, "d": 2},
      [({"r": 0}, InvalidArgument), ({"d": 0}, InvalidArgument),
       ({"r": 2.5}, TypeError), ({"d": 2.0}, TypeError)]),
     (StageSchedule, {"stages": (2, 4), "s": "1/2"},
      [({"stages": ()}, InvalidArgument), ({"stages": (3,)}, InvalidArgument),
       ({"stages": (2, 3)}, InvalidArgument), ({"s": 2}, InvalidArgument),
-      ({"stages": (2.9, 4.5)}, TypeError), ({"stages": (2, "4")}, TypeError)]),
+      ({"stages": (2.9, 4.5)}, TypeError), ({"stages": (2, "4")}, TypeError),
+      ({"s": True}, TypeError)]),
 ]
 
 
@@ -193,11 +206,48 @@ def test_validation_on_every_constructor_path(cls, good, bad):
                 construct()
 
 
-# (constructor given a bool where an int is asked, the name its TypeError gives)
+X2M2 = Polynomial([-2, 0, 1])
+SCHEDULE = StageSchedule((2, 4), "1/2")
+
+# (call given one int parameter's value, the name its errors give, a valid
+# value, the least value or None)
+INT_PARAMETERS = {
+    "power_diff_bound-k": (lambda v: power_diff_bound("1/3", "1/3", v, 4), "k", 2, 1),
+    "power_diff_bound-r": (lambda v: power_diff_bound("1/3", "1/3", 2, v), "r", 4, 1),
+    "eval_tolerance-r": (lambda v: eval_tolerance(X2M2, 1, v), "r", 4, 1),
+    "intersection_predicate-r": (lambda v: intersection_predicate(X2M2, 1, -1, v), "r", 4, 1),
+    "default_schedule-j_max": (lambda v: default_schedule(v), "j_max", 2, 1),
+    "default_schedule-max_bits": (lambda v: default_schedule(2, max_bits=v), "max_bits", 16, None),
+    "extract_blocks-d": (lambda v: extract_blocks("0110", SCHEDULE, v), "d", 2, 1),
+    "interleave-n": (lambda v: interleave(BitSource("11"), [BitSource("11")], SCHEDULE, v),
+                     "n", 3, None),
+    "plant-multiplicity": (lambda v: plant(PlantedSpec(real_roots=((0, v),))),
+                           "multiplicity", 2, 1),
+    "plant-max_degree": (lambda v: plant(PlantedSpec(), max_degree=v), "max_degree", 0, None),
+    "bisect_root-r": (lambda v: bisect_root(X2M2, 0, 2, v), "r", 4, 0),
+}
+
+
+@pytest.mark.parametrize("case", INT_PARAMETERS)
+def test_int_parameter_is_read_through_one_gate(case):
+    """Every int parameter refuses a float with the TypeError that names it,
+    and a value below its least with InvalidArgument, where it is given."""
+    call, name, valid, least = INT_PARAMETERS[case]
+    call(valid)
+    for bad in (2.5, 1.0, -3.0):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {bad}$"):
+            call(bad)
+    if least is not None:
+        with pytest.raises(InvalidArgument, match=f"^{name} must be >= {least}$"):
+            call(least - 1)
+
+
+# (call given a bool where an int is asked, the name its TypeError gives)
 BOOL_INTS = {
     "PrecisionParams": (lambda b: PrecisionParams(b, Fraction(1, 64)), "precision r"),
     "ApproxContext": (lambda b: ApproxContext(r=b, d=b), "ApproxContext r"),
     "StageSchedule": (lambda b: StageSchedule((2, b), "1/2"), "stage boundary"),
+    **{case: (call, name) for case, (call, name, _, _) in INT_PARAMETERS.items()},
 }
 
 
@@ -209,3 +259,20 @@ def test_bool_is_refused_where_an_int_is_asked(case):
     for b in (True, False):
         with pytest.raises(TypeError, match=f"^{name} must be an int, got {b}$"):
             build(b)
+
+
+# (call given a value where an exact rational is asked)
+RATIONALS = {
+    "Polynomial": lambda v: Polynomial([v]),
+    "ceil_log2": ceil_log2,
+    "max_sign_change-gamma": lambda v: max_sign_change((1, Fraction(1, 1000), -1), v),
+    "min_sign_change-gamma": lambda v: min_sign_change((1, Fraction(1, 1000), -1), v),
+    "sign_extremes-gamma": lambda v: sign_extremes((1, Fraction(1, 1000), -1), v),
+}
+
+
+@pytest.mark.parametrize("case", RATIONALS)
+def test_float_and_bool_are_not_exact_rationals(case):
+    for bad in (0.01, True, False):
+        with pytest.raises(TypeError, match=f"^not an exact rational: {bad}$"):
+            RATIONALS[case](bad)
