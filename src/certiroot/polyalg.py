@@ -3,7 +3,8 @@
 Coefficients are `fractions.Fraction` values (always stored reduced, positive
 denominator), index i holding the coefficient of x^i. No floating point is
 used anywhere: every downstream guarantee (no missed root, exact counts) is
-unconditional only under exact arithmetic.
+unconditional only under exact arithmetic. `*` and `eval` run on each operand's
+integer row over the least common denominator: one Fraction per result.
 
 The zero polynomial is representable — it is what remainder sequences
 terminate in — and is distinguished from degree-0 constants: its `degree`
@@ -131,12 +132,17 @@ class Polynomial:
     # -- evaluation and calculus ----------------------------------------------
 
     def eval(self, x: Rat) -> Fraction:
-        """Exact value at x, computed in Horner order."""
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at x, by Horner on the integer row over the least common denominator.
+
+        >>> Polynomial(["1/2", 0, 3]).eval("-2/3")
+        Fraction(11, 6)
+        """
+        (n, d), (ints, den) = _as_fraction(x).as_integer_ratio(), _over_common_denominator(self)
+        acc, dj = ints[-1], 1  # acc = acc*n + a_i*d^j at x = n/d, so p(x) = acc / (den*d^deg)
+        for a in reversed(ints[:-1]):
+            dj *= d
+            acc = acc * n + a * dj
+        return Fraction(acc, den * dj)
 
     def derivative(self) -> "Polynomial":
         """Formal derivative; the derivative of a constant is the zero polynomial."""
@@ -160,13 +166,15 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """Product, convolving the integer rows over the least common denominators."""
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        (xs, da), (ys, db) = _over_common_denominator(self), _over_common_denominator(other)
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, a in enumerate(xs):
+            for j, b in enumerate(ys, i):
+                out[j] += a * b
+        return Polynomial([Fraction(c, da * db) for c in out])
 
     def scale(self, k: Rat) -> "Polynomial":
         k = _as_fraction(k)

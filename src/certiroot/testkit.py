@@ -13,7 +13,8 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegreeOverflow, InvalidArgument, NoSignChange, TooLong, echo
+from .errors import (DegreeOverflow, InvalidArgument, NoSignChange, ThresholdNonPositive,
+                     TooLong, echo)
 from .polyalg import Polynomial, _as_fraction, _as_int
 
 
@@ -96,7 +97,7 @@ def sign_extremes(theta, gamma) -> tuple[int, int]:
     if not isinstance(gamma, (int, Fraction)) or isinstance(gamma, bool):
         raise TypeError(f"not an exact rational: {echo(gamma)}")
     if gamma <= 0:
-        raise InvalidArgument("gamma must be > 0")
+        raise ThresholdNonPositive(f"gamma must be > 0, got {echo(gamma)}")
     fixed = []
     free_slots = []
     for i, v in enumerate(theta):

@@ -1,11 +1,12 @@
 """Exact polynomial arithmetic: construction, evaluation, division."""
 
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from certiroot import (
     DivisionByZeroPolynomial,
@@ -162,6 +163,58 @@ def test_eval_is_a_ring_homomorphism(p, q, t):
     assert (p * q).eval(t) == p.eval(t) * q.eval(t)
     assert (-p).eval(t) == -p.eval(t)
     assert (p - q).eval(t) == p.eval(t) - q.eval(t)
+
+
+def schoolbook_product(a, b):
+    """Plain-Fraction reference for p * q: every term multiplied and added as a
+    Fraction, trailing zeros trimmed; no integer row is formed."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def fraction_horner(coeffs, x):
+    """Plain-Fraction reference for p.eval(x), in Horner order."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def is_reduced(c):
+    return type(c) is Fraction and c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+# Denominators up to 10^12, and zero often, so zero, constant and sparse
+# polynomials come up next to dense ones.
+wide_fraction_st = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+)
+wide_poly_st = st.lists(wide_fraction_st, min_size=0, max_size=7).map(Polynomial)
+point_fraction_st = st.fractions(min_value=-(10**3), max_value=10**3, max_denominator=10**12)
+point_st = st.one_of(point_fraction_st, st.integers(-(10**3), 10**3), point_fraction_st.map(str))
+
+
+@given(wide_poly_st, wide_poly_st, point_st)
+@example(Polynomial([]), Polynomial(["-7/3", 1]), "-5/2")
+@example(Polynomial(["3/10"]), Polynomial([0, 0, "1/999999999999"]), -4)
+@example(Polynomial([5]), Polynomial(["-1/2"]), 0)
+def test_mul_and_eval_match_plain_fraction_references(p, q, x):
+    """The integer-row product and value equal the schoolbook product and the
+    Fraction Horner value, and every result is a reduced Fraction. The
+    references share no code with the integer rows, so the naive-scan oracles,
+    which evaluate through eval, stay checked apart from _ScaledChain's rows."""
+    product = p * q
+    assert product.coeffs == schoolbook_product(p.coeffs, q.coeffs)
+    assert all(is_reduced(c) for c in product.coeffs)
+    value = p.eval(x)
+    assert value == fraction_horner(p.coeffs, Fraction(x))
+    assert is_reduced(value)
 
 
 # --- derivative -------------------------------------------------------------
