@@ -158,10 +158,12 @@ def resolve_gamma(poly: Polynomial, data: dict, r: int, flag_value):
         delta = parse_fraction(data["separation"], "separation")
     elif "roots" in data:
         entries = data["roots"]
-        if not isinstance(entries, list) or not all(
-            isinstance(e, list) and e for e in entries
-        ):
+        if not isinstance(entries, list):
             raise ParseError('"roots" must be a list of [value, multiplicity] pairs')
+        for i, e in enumerate(entries):
+            if not (isinstance(e, list) and len(e) == 2 and type(e[1]) is int and e[1] >= 1):
+                raise ParseError(f"roots[{i}] must be a [value, multiplicity] pair with an "
+                                 f"integer multiplicity >= 1, got {echo(e)}")
         values = sorted({parse_fraction(e[0], "roots") for e in entries})
         if len(values) >= 2:
             delta = min(b - a for a, b in zip(values, values[1:]))

@@ -3,8 +3,9 @@
 Coefficients are `fractions.Fraction` values (always stored reduced, positive
 denominator), index i holding the coefficient of x^i. No floating point is
 used anywhere: every downstream guarantee (no missed root, exact counts) is
-unconditional only under exact arithmetic. `*` and `eval` run on each operand's
-integer row over the least common denominator: one Fraction per result.
+unconditional only under exact arithmetic. `*` (and `_product`, the n-ary
+product under it) and `eval` run on integer rows over a common denominator and
+build each result coefficient once, from a reduced integer pair (`_ratio`).
 
 The zero polynomial is representable — it is what remainder sequences
 terminate in — and is distinguished from degree-0 constants: its `degree`
@@ -142,7 +143,7 @@ class Polynomial:
         for a in reversed(ints[:-1]):
             dj *= d
             acc = acc * n + a * dj
-        return Fraction(acc, den * dj)
+        return _ratio(acc, den * dj)
 
     def derivative(self) -> "Polynomial":
         """Formal derivative; the derivative of a constant is the zero polynomial."""
@@ -166,15 +167,10 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        """Product, convolving the integer rows over the least common denominators."""
+        """Product, as _product of the two."""
         if not isinstance(other, Polynomial):
             return NotImplemented
-        (xs, da), (ys, db) = _over_common_denominator(self), _over_common_denominator(other)
-        out = [0] * (len(xs) + len(ys) - 1)
-        for i, a in enumerate(xs):
-            for j, b in enumerate(ys, i):
-                out[j] += a * b
-        return Polynomial([Fraction(c, da * db) for c in out])
+        return _product((self, other))
 
     def scale(self, k: Rat) -> "Polynomial":
         k = _as_fraction(k)
@@ -186,6 +182,50 @@ def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:
     p's coefficients and ints[i] = c_i * den, built from integers alone."""
     den = math.lcm(*(c.denominator for c in p.coeffs))
     return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
+def _product(factors: Iterable[Polynomial]) -> Polynomial:
+    """The product of factors (1 for none), expanded once on one integer row.
+
+    Each factor's row comes from _over_common_denominator. The fold starts
+    from the first factor's row, with no seed [1], and convolves each next row
+    into it over one running denominator, the product of the factors' least
+    common denominators; one reduced Fraction per output coefficient is built
+    at the end, so no intermediate Polynomial or Fraction is formed.
+    """
+    rows = map(_over_common_denominator, factors)
+    out, den = next(rows, ([1], 1))
+    for ys, d in rows:
+        acc = [0] * (len(out) + len(ys) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(ys, i):
+                acc[j] += a * b
+        out, den = acc, den * d
+    return Polynomial([_ratio(c, den) for c in out])
+
+
+def _from_coprime_ints(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for coprime ints n and d > 0, built without
+    Fraction.__new__'s type checks and gcd (Python 3.12 names the same step
+    Fraction._from_coprime_ints). The package's one writer of Fraction's
+    internals; every read goes through the public numerator and denominator.
+
+    Exact: n/d is already in lowest terms with d > 0, so the result equals
+    Fraction(n, d) in value, hash, repr and pickling. It cannot fail silently:
+    Fraction and its numbers bases declare __slots__ and give instances no
+    __dict__, so were a slot ever renamed, the assignment would raise
+    AttributeError, not build a wrong value.
+    """
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = n, d
+    return q
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for ints n and d > 0: reduced by one gcd, then built by
+    _from_coprime_ints (gcd(0, d) = d, so 0 is 0/1)."""
+    g = math.gcd(n, d)
+    return _from_coprime_ints(n // g, d // g)
 
 
 def _nonconstant_degree(p: Polynomial, message: str) -> int:

@@ -73,7 +73,8 @@ and its level's limit.
 The descent records each fired cell [m, m + 1] as the odd numerator 2m + 1
 of its midpoint, an int: a range decided whole adds all of its cells as one
 range of odd ints. The candidate Fractions are built once, at the end, by
-_dyadic, which skips the gcd that an odd numerator over 2^(r+1) never needs.
+polyalg's _from_coprime_ints, which skips the gcd that an odd numerator over
+2^(r+1) never needs: an odd n and a power of two share no factor.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ from .polyalg import (
     Polynomial,
     _as_fraction,
     _as_int,
+    _from_coprime_ints,
     _nonconstant_degree,
     _over_common_denominator,
 )
@@ -398,23 +400,6 @@ class _ScaledChain:
         return s1 < c0 and c0 + s1 < lim
 
 
-def _dyadic(n: int, den: int) -> Fraction:
-    """Fraction(n, den) for an odd n and a power of two den, built without
-    Fraction.__new__'s type checks and gcd (Python 3.12 names the same step
-    Fraction._from_coprime_ints).
-
-    Exact: an odd n and a power of two share no factor, so n/den is already
-    in lowest terms with den > 0, and the result equals Fraction(n, den) in
-    value, hash, repr and pickling. It cannot fail silently: Fraction and its
-    numbers bases declare __slots__ and give instances no __dict__, so were a
-    slot ever renamed, the assignment would raise AttributeError, not build a
-    wrong value.
-    """
-    q = object.__new__(Fraction)
-    q._numerator, q._denominator = n, den
-    return q
-
-
 def _grid(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     """root_enum's checks and grid, with no candidates: a report's fields
     that need no descent."""
@@ -437,7 +422,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
 
     The descent gathers the fired cells as the odd numerators of their
     midpoints and builds the candidate Fractions over 2^(r+1) once, at the
-    end (see _dyadic).
+    end, with no gcd (see _from_coprime_ints).
     """
     grid, r = _grid(c, params), params.r
     chain = sturm_chain(c)
@@ -503,7 +488,7 @@ def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
             stack.append((mid, m1, rights, h, right_signs))
         if lefts:
             stack.append((m0, mid, lefts, h, left_signs))
-    return grid._replace(candidates=tuple(map(_dyadic, fired, repeat(1 << (r + 1)))))
+    return grid._replace(candidates=tuple(map(_from_coprime_ints, fired, repeat(1 << (r + 1)))))
 
 
 def intersect(a: Polynomial, b: Polynomial, params: PrecisionParams) -> RootCandidateList:

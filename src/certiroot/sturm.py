@@ -24,9 +24,8 @@ integer vector computed with no division. Its content g is divided out, and
 the sign of -L goes to Q_i, so lam_i = lam_{i-2} * g / |L| > 0. Every step
 is exact, so lam_i * Q_i is the Euclidean P_i coefficient by coefficient.
 Division on Fractions would run a gcd at every operation; here one rational
-is formed per element, and per returned coefficient the product lam_i * c,
-whose reduction needs only gcd(c, den lam_i), with c, a coefficient of Q_i,
-far shorter than lam_i on long chains.
+is formed per element, and each returned coefficient lam_i * c is built once
+from its integer pair (num lam_i * c, den lam_i), reduced by one gcd.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EndpointIsRoot, InvalidArgument, echo
-from .polyalg import Polynomial, _as_fraction, _nonconstant_degree, _over_common_denominator
+from .polyalg import (Polynomial, _as_fraction, _nonconstant_degree, _over_common_denominator,
+                      _ratio)
 # Not called here. The benchmark's tracer counts Euclidean divisions by
 # wrapping sturm.euclid_rem, so the name stays in this module's namespace.
 from .polyalg import euclid_rem
@@ -76,7 +76,8 @@ def sturm_chain(p: Polynomial) -> SturmChain:
             break
         lead = b[-1] ** (len(a) - len(b) + 1)
         rows.append(_primitive(rem if lead < 0 else [-c for c in rem], lam / abs(lead)))
-    return (p, *(Polynomial([lam * c for c in q]) for lam, q in rows[1:]))
+    return (p, *(Polynomial([_ratio(lam.numerator * c, lam.denominator) for c in q])
+                 for lam, q in rows[1:]))
 
 
 def _primitive(ints: list, lam: Fraction) -> tuple:

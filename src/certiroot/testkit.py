@@ -1,10 +1,11 @@
 """Brute-force oracles and exact instance generators.
 
-Everything here is deliberately slow and independent of the production code
-paths: planted polynomials are expanded factor by factor with plain ring
-operations, sign-change extremes are found by enumerating completions, and
-roots are located by classical bisection. The oracles are capped at desk
-scale — independence from the code under test outranks speed.
+Everything here is independent of the production code paths it checks:
+planted polynomials are expanded as one integer-row product of their factors
+(polyalg._product), which the descent never calls; sign-change extremes are
+found by enumerating completions, and roots are located by classical
+bisection. The oracles are deliberately slow and capped at desk scale —
+independence from the code under test outranks speed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import (DegreeOverflow, InvalidArgument, NoSignChange, ThresholdNonPositive,
                      TooLong, echo)
-from .polyalg import Polynomial, _as_fraction, _as_int
+from .polyalg import Polynomial, _as_fraction, _as_int, _product
 
 
 class PlantedSpec(NamedTuple):
@@ -66,13 +67,9 @@ def plant(spec: PlantedSpec, max_degree: int = 64) -> PlantedPolynomial:
     degree = sum(m for _, m in roots) + 2 * len(quads)
     if degree > max_degree:
         raise DegreeOverflow(f"degree {degree} exceeds cap {max_degree}")
-    poly = Polynomial([leading])
-    for r, m in roots:
-        factor = Polynomial([-r, 1])
-        for _ in range(m):
-            poly = poly * factor
-    for p, q in quads:
-        poly = poly * Polynomial([q, p, 1])
+    poly = _product([Polynomial([leading]),
+                     *(Polynomial([-r, 1]) for r, m in roots for _ in range(m)),
+                     *(Polynomial([q, p, 1]) for p, q in quads)])
     distinct = sorted(r for r, _ in roots)
     delta = None
     if len(distinct) >= 2:

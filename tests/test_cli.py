@@ -564,6 +564,12 @@ BAD_ARGUMENTS = {
     "stage-past-2^4000": (
         "InvalidArgument", BITS, SPECTRUM + [f"2,4000,{2 ** 4000},7"],
         "stage boundary 7 < 2^131820409343094310...2504575706910949376"),
+    **{f"roots-entry-{name}": (
+        "ParseError", {"p": {"coeffs": ["-1", "0", "1"], "roots": [entry]}},
+        ["roots", "--poly", "{p}", "--precision", "4"], "roots[0] must be a [value, multiplicity]")
+       for name, entry in (("one-item", ["1"]), ("string-multiplicity", ["1", "abc"]),
+                           ("multiplicity-0", ["1", 0]), ("float-multiplicity", ["1", 1.5]),
+                           ("three-items", ["1", 1, 2]))},
     "grid-bound-past-limit": (
         "ParseError", {"p": {"coeffs": ["9" + "0" * 4299, "0", "1"]}},
         ["roots", "--poly", "{p}", "--precision", "2"], "cannot print <14286-bit integer>"),

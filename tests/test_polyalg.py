@@ -16,6 +16,7 @@ from certiroot import (
     euclid_rem,
     poly_divmod,
 )
+from certiroot.polyalg import _product, _ratio
 
 rng = random.Random(0xC0FFEE)
 
@@ -215,6 +216,38 @@ def test_mul_and_eval_match_plain_fraction_references(p, q, x):
     value = p.eval(x)
     assert value == fraction_horner(p.coeffs, Fraction(x))
     assert is_reduced(value)
+
+
+@given(st.lists(wide_poly_st, max_size=5))
+@example([])
+@example([Polynomial(["1/3"])])
+@example([Polynomial(["-7/3", 1]), Polynomial([]), Polynomial(["1/999999999999", 0, 2])])
+@example([Polynomial([Fraction(k, 3 * k + 1) - i for k in range(1, 8)]) for i in range(5)])
+def test_product_matches_a_schoolbook_fold(factors):
+    """_product of 0-5 factors equals the schoolbook Fraction fold from 1: the
+    empty product is 1 and a zero factor gives the zero polynomial, and every
+    coefficient is a reduced Fraction."""
+    want = (Fraction(1),)
+    for f in factors:
+        want = schoolbook_product(want, f.coeffs)
+    got = _product(factors)
+    assert got.coeffs == want
+    assert all(is_reduced(c) for c in got.coeffs)
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 1)
+@example(0, 10**31)
+@example(-12, 18)
+@example(-(10**31), 6 * 10**30)
+@example(3**70 * 2**5, 2**9 * 3**40 * 7)
+def test_ratio_is_fraction_n_over_d(n, d):
+    """_ratio(n, d) is Fraction(n, d): n = 0, negative n and n past 10^30
+    included, reduced with a positive denominator."""
+    q, want = _ratio(n, d), Fraction(n, d)
+    assert is_reduced(q)
+    assert (q.numerator, q.denominator) == (want.numerator, want.denominator)
+    assert q == want and hash(q) == hash(want) and repr(q) == repr(want)
 
 
 # --- derivative -------------------------------------------------------------

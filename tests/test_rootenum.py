@@ -41,6 +41,7 @@ from certiroot import (
     sturm_eval,
 )
 from certiroot.approxsign import entry_classes
+from certiroot.polyalg import _from_coprime_ints
 
 rng = random.Random(0x600D)
 
@@ -849,9 +850,10 @@ def test_candidates_sorted_dyadic_and_deterministic(monkeypatch):
 @pytest.mark.parametrize("den", [2, 1 << 17, 1 << 1025])
 @pytest.mark.parametrize("n", [1, -1, 3, -3, (1 << 200) + 1, -(1 << 200) - 1])
 def test_dyadic_is_the_fraction_it_stands_for(n, den):
-    """_dyadic sets Fraction's slots directly; it must build the same value
-    Fraction(n, den) does on every supported Python, or fail loudly."""
-    q, want = rootenum._dyadic(n, den), Fraction(n, den)
+    """The candidates' builder, polyalg's _from_coprime_ints, sets Fraction's
+    slots directly; on an odd n over a power of two it must build the same
+    value Fraction(n, den) does on every supported Python, or fail loudly."""
+    q, want = _from_coprime_ints(n, den), Fraction(n, den)
     assert type(q) is Fraction
     assert q == want and hash(q) == hash(want)
     assert repr(q) == repr(want) and str(q) == str(want)

@@ -1,6 +1,7 @@
 """Sturm chains, sign variations, exact root counting, Cauchy bound."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -71,8 +72,9 @@ def test_chain_rejects_constants():
 
 def test_chain_structure_random(chain_inputs):
     """First two entries are p, p'; each later entry is minus the remainder
-    of its two predecessors; degrees strictly decrease; length <= deg+1. On
-    40 random squarefree inputs and on conftest's chain_inputs."""
+    of its two predecessors; degrees strictly decrease; length <= deg+1; every
+    coefficient is a reduced Fraction. On 40 random squarefree inputs and on
+    conftest's chain_inputs."""
     for p in [random_squarefree(rng)[0] for _ in range(40)] + chain_inputs:
         chain = sturm_chain(p)
         assert chain[0] == p
@@ -82,6 +84,9 @@ def test_chain_structure_random(chain_inputs):
             assert chain[i] == -euclid_rem(chain[i - 2], chain[i - 1])
             assert chain[i].degree < chain[i - 1].degree
         assert not chain[-1].is_zero()
+        for q in chain:
+            assert all(type(c) is Fraction and c.denominator > 0
+                       and math.gcd(c.numerator, c.denominator) == 1 for c in q.coeffs)
 
 
 def test_chain_repeated_root_ends_above_constant():

@@ -83,6 +83,29 @@ def test_plant_roots_are_exactly_the_planted_ones():
             assert planted.delta_min == min(gaps)
 
 
+def test_plant_equals_a_factor_by_factor_product():
+    """plant's one integer-row product equals the fold of binary products,
+    factor by factor, over random specs with repeated roots and quadratics."""
+    for _ in range(60):
+        distinct = {Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+                    for _ in range(rng.randint(0, 4))}
+        roots = [(rho, rng.randint(1, 3)) for rho in sorted(distinct)]
+        quads = []
+        for _ in range(rng.randint(0, 2)):
+            p = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            quads.append((p, p * p / 4 + Fraction(rng.randint(1, 9), rng.randint(1, 8))))
+        leading = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        want = Polynomial([leading])
+        for rho, m in roots:
+            for _ in range(m):
+                want = want * Polynomial([-rho, 1])
+        for p, q in quads:
+            want = want * Polynomial([q, p, 1])
+        planted = plant(PlantedSpec(tuple(roots), tuple(quads), leading))
+        assert planted.polynomial == want
+        assert planted.polynomial.degree == sum(m for _, m in roots) + 2 * len(quads)
+
+
 def test_plant_validation():
     with pytest.raises(ValueError):
         plant(PlantedSpec(real_roots=((Fraction(1), 0),)))  # multiplicity < 1
