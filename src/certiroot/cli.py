@@ -164,7 +164,7 @@ def resolve_gamma(poly: Polynomial, data: dict, r: int, flag_value):
             if not (isinstance(e, list) and len(e) == 2 and type(e[1]) is int and e[1] >= 1):
                 raise ParseError(f"roots[{i}] must be a [value, multiplicity] pair with an "
                                  f"integer multiplicity >= 1, got {echo(e)}")
-        values = sorted({parse_fraction(e[0], "roots") for e in entries})
+        values = sorted({parse_fraction(e[0], f"roots[{i}]") for i, e in enumerate(entries)})
         if len(values) >= 2:
             delta = min(b - a for a, b in zip(values, values[1:]))
     if delta is not None:

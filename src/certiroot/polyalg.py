@@ -3,9 +3,10 @@
 Coefficients are `fractions.Fraction` values (always stored reduced, positive
 denominator), index i holding the coefficient of x^i. No floating point is
 used anywhere: every downstream guarantee (no missed root, exact counts) is
-unconditional only under exact arithmetic. `*` (and `_product`, the n-ary
-product under it) and `eval` run on integer rows over a common denominator and
-build each result coefficient once, from a reduced integer pair (`_ratio`).
+unconditional only under exact arithmetic. `_product`, the one convolution,
+multiplies integer rows (ints, den) standing for ints/den, which `*` and
+`testkit.plant` build from their operands' Fractions; it and `eval` build
+each result coefficient once, from a reduced integer pair (`_ratio`).
 
 The zero polynomial is representable — it is what remainder sequences
 terminate in — and is distinguished from degree-0 constants: its `degree`
@@ -167,10 +168,10 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        """Product, as _product of the two."""
+        """Product, as _product of the two operands' common-denominator rows."""
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return _product((self, other))
+        return _product(map(_over_common_denominator, (self, other)))
 
     def scale(self, k: Rat) -> "Polynomial":
         k = _as_fraction(k)
@@ -184,16 +185,17 @@ def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
-def _product(factors: Iterable[Polynomial]) -> Polynomial:
-    """The product of factors (1 for none), expanded once on one integer row.
+def _product(rows: Iterable[tuple[list[int], int]]) -> Polynomial:
+    """The product of rows (1 for none), expanded once on one integer row.
 
-    Each factor's row comes from _over_common_denominator. The fold starts
-    from the first factor's row, with no seed [1], and convolves each next row
-    into it over one running denominator, the product of the factors' least
-    common denominators; one reduced Fraction per output coefficient is built
-    at the end, so no intermediate Polynomial or Fraction is formed.
+    A row (ints, den) with den > 0 stands for ints/den and need not be reduced:
+    __mul__ passes _over_common_denominator's rows, testkit.plant rows built
+    from its factors' Fractions. The fold starts from the first row, with no
+    seed [1], and convolves each next row into it over one running denominator,
+    the product of the rows' denominators; one reduced Fraction per output
+    coefficient is built at the end, and no intermediate Polynomial or Fraction.
     """
-    rows = map(_over_common_denominator, factors)
+    rows = iter(rows)
     out, den = next(rows, ([1], 1))
     for ys, d in rows:
         acc = [0] * (len(out) + len(ys) - 1)

@@ -1,16 +1,17 @@
 """Brute-force oracles and exact instance generators.
 
 Everything here is independent of the production code paths it checks:
-planted polynomials are expanded as one integer-row product of their factors
-(polyalg._product), which the descent never calls; sign-change extremes are
-found by enumerating completions, and roots are located by classical
-bisection. The oracles are deliberately slow and capped at desk scale —
-independence from the code under test outranks speed.
+planted polynomials are expanded as one product (polyalg._product) of integer
+rows built straight from their factors' Fractions, which the descent never
+calls; sign-change extremes are found by enumerating completions, and roots are
+located by classical bisection. The oracles are deliberately slow and capped at
+desk scale — independence from the code under test outranks speed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,7 +50,9 @@ class PlantedPolynomial(NamedTuple):
 
 
 def plant(spec: PlantedSpec, max_degree: int = 64) -> PlantedPolynomial:
-    """Expand a PlantedSpec exactly and attach its ground-truth metadata."""
+    """Expand a PlantedSpec exactly and attach its ground-truth metadata. Each
+    factor goes to _product as an integer row built from its Fractions, a root
+    a/b as (b*x - a)/b and a quadratic over the lcm of p's and q's denominators."""
     leading = _as_fraction(spec.leading)
     if leading == 0:
         raise InvalidArgument("leading factor must be nonzero")
@@ -67,9 +70,13 @@ def plant(spec: PlantedSpec, max_degree: int = 64) -> PlantedPolynomial:
     degree = sum(m for _, m in roots) + 2 * len(quads)
     if degree > max_degree:
         raise DegreeOverflow(f"degree {degree} exceeds cap {max_degree}")
-    poly = _product([Polynomial([leading]),
-                     *(Polynomial([-r, 1]) for r, m in roots for _ in range(m)),
-                     *(Polynomial([q, p, 1]) for p, q in quads)])
+    rows = [([leading.numerator], leading.denominator)]
+    for r, m in roots:
+        rows += [([-r.numerator, r.denominator], r.denominator)] * m
+    for p, q in quads:
+        c = math.lcm(p.denominator, q.denominator)
+        rows.append(([q.numerator * (c // q.denominator), p.numerator * (c // p.denominator), c], c))
+    poly = _product(rows)
     distinct = sorted(r for r, _ in roots)
     delta = None
     if len(distinct) >= 2:

@@ -570,6 +570,9 @@ BAD_ARGUMENTS = {
        for name, entry in (("one-item", ["1"]), ("string-multiplicity", ["1", "abc"]),
                            ("multiplicity-0", ["1", 0]), ("float-multiplicity", ["1", 1.5]),
                            ("three-items", ["1", 1, 2]))},
+    "roots-entry-bad-value": (
+        "ParseError", {"p": {"coeffs": ["-1", "0", "1"], "roots": [["abc", 1]]}},
+        ["roots", "--poly", "{p}", "--precision", "4"], "bad rational for roots[0]: 'abc'"),
     "grid-bound-past-limit": (
         "ParseError", {"p": {"coeffs": ["9" + "0" * 4299, "0", "1"]}},
         ["roots", "--poly", "{p}", "--precision", "2"], "cannot print <14286-bit integer>"),

@@ -16,7 +16,7 @@ from certiroot import (
     euclid_rem,
     poly_divmod,
 )
-from certiroot.polyalg import _product, _ratio
+from certiroot.polyalg import _over_common_denominator, _product, _ratio
 
 rng = random.Random(0xC0FFEE)
 
@@ -224,13 +224,13 @@ def test_mul_and_eval_match_plain_fraction_references(p, q, x):
 @example([Polynomial(["-7/3", 1]), Polynomial([]), Polynomial(["1/999999999999", 0, 2])])
 @example([Polynomial([Fraction(k, 3 * k + 1) - i for k in range(1, 8)]) for i in range(5)])
 def test_product_matches_a_schoolbook_fold(factors):
-    """_product of 0-5 factors equals the schoolbook Fraction fold from 1: the
-    empty product is 1 and a zero factor gives the zero polynomial, and every
-    coefficient is a reduced Fraction."""
+    """_product of the rows of 0-5 factors equals the schoolbook Fraction fold
+    from 1: the empty product is 1 and a zero factor gives the zero polynomial,
+    and every coefficient is a reduced Fraction."""
     want = (Fraction(1),)
     for f in factors:
         want = schoolbook_product(want, f.coeffs)
-    got = _product(factors)
+    got = _product(map(_over_common_denominator, factors))
     assert got.coeffs == want
     assert all(is_reduced(c) for c in got.coeffs)
 

@@ -83,27 +83,45 @@ def test_plant_roots_are_exactly_the_planted_ones():
             assert planted.delta_min == min(gaps)
 
 
+def random_planted_spec(k):
+    """A spec with repeated roots whose denominators reach 10^12 in every other
+    spec, the root 0 in every third, quadratics x^2 + p x + q whose p and q
+    mostly have different denominators, and a rational leading factor of
+    either sign."""
+    most = (6, 10**12)[k % 2]
+    distinct = set()
+    for _ in range(rng.randint(0, 4)):
+        b = rng.randint(1, most)
+        distinct.add(Fraction(rng.randint(-20 * b, 20 * b), b))
+    if k % 3 == 0:
+        distinct.add(Fraction(0))
+    roots = [(rho, rng.randint(1, 3)) for rho in sorted(distinct)]
+    quads = []
+    for _ in range(rng.randint(0, 2)):
+        p = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 10**12 + 39]))
+        q = p * p / 4 + Fraction(rng.randint(1, 9), rng.randint(1, 8))
+        quads.append((p, q))
+    leading = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    return PlantedSpec(tuple(roots), tuple(quads), leading)
+
+
 def test_plant_equals_a_factor_by_factor_product():
-    """plant's one integer-row product equals the fold of binary products,
-    factor by factor, over random specs with repeated roots and quadratics."""
-    for _ in range(60):
-        distinct = {Fraction(rng.randint(-20, 20), rng.randint(1, 6))
-                    for _ in range(rng.randint(0, 4))}
-        roots = [(rho, rng.randint(1, 3)) for rho in sorted(distinct)]
-        quads = []
-        for _ in range(rng.randint(0, 2)):
-            p = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            quads.append((p, p * p / 4 + Fraction(rng.randint(1, 9), rng.randint(1, 8))))
-        leading = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
-        want = Polynomial([leading])
-        for rho, m in roots:
+    """plant's one product of integer rows equals the fold of binary products,
+    factor by factor, over random specs and one that has each case at once."""
+    every_case = PlantedSpec(
+        ((Fraction(-5, 999999999989), 3), (Fraction(0), 2), (Fraction(7, 10**12), 1)),
+        ((Fraction(1, 3), Fraction(3, 4)), (Fraction(-2, 5), Fraction(5, 7))), Fraction(-7, 3))
+    for spec in [every_case] + [random_planted_spec(k) for k in range(60)]:
+        want = Polynomial([spec.leading])
+        for rho, m in spec.real_roots:
             for _ in range(m):
                 want = want * Polynomial([-rho, 1])
-        for p, q in quads:
+        for p, q in spec.irreducible_quadratics:
             want = want * Polynomial([q, p, 1])
-        planted = plant(PlantedSpec(tuple(roots), tuple(quads), leading))
+        planted = plant(spec)
         assert planted.polynomial == want
-        assert planted.polynomial.degree == sum(m for _, m in roots) + 2 * len(quads)
+        assert planted.polynomial.degree == (sum(m for _, m in spec.real_roots)
+                                             + 2 * len(spec.irreducible_quadratics))
 
 
 def test_plant_validation():
