@@ -28,10 +28,10 @@ runs at every cell end it classifies.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidArgument, ThresholdNonPositive, echo
+from .errors import InvalidArgument
+from .polyalg import _as_gamma
 
 # An entry class is (sign, small): sign in {-1, 0, +1} is the exact sign of
 # the stored value, small means |value| < gamma (the sign is untrusted).
@@ -39,14 +39,12 @@ from .errors import InvalidArgument, ThresholdNonPositive, echo
 
 
 def entry_classes(theta: Sequence, gamma) -> list[tuple[int, bool]]:
-    """Classify each entry of theta as (exact sign, |entry| < gamma). gamma, an
-    int or a Fraction, is compared unconverted, and the entries are unchecked."""
+    """Classify each entry of theta as (exact sign, |entry| < gamma). gamma
+    passes polyalg._as_gamma, the one gate for a threshold, and is compared
+    unconverted; the entries are unchecked."""
     if len(theta) == 0:
         raise InvalidArgument("empty evaluation vector")
-    if not isinstance(gamma, (int, Fraction)) or isinstance(gamma, bool):
-        raise TypeError(f"not an exact rational: {echo(gamma)}")
-    if gamma <= 0:
-        raise ThresholdNonPositive(f"gamma must be > 0, got {echo(gamma)}")
+    gamma = _as_gamma(gamma)
     out = []
     for v in theta:
         sign = 1 if v > 0 else (-1 if v < 0 else 0)

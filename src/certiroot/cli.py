@@ -29,8 +29,10 @@ gamma, beta, grid_bound and the grid width. The limit also bounds a rational
 written with an exponent (its numerator and denominator) and the --precision
 of roots, intersect and bounds (2^r), each checked before the power is built;
 a limit of 0 lifts both. Negative rationals such as -1/2 are flag
-values. --precision and --length are read by int() where a command reads
-them, so a bad value is a ParseError record, not a usage error.
+values. Each integer (--precision, --length, a --stages entry and
+CERTIROOT_MAX_DEGREE) is read by int_arg where a command reads it, so a bad
+value is a ParseError record, not a usage error; --precision's whole range,
+[1, r_max], is checked there, before any block or --gamma is read.
 CERTIROOT_MAX_DEGREE (default 64) guards runaway inputs.
 A reader that closes stdout early ends the run with status 1 and no traceback.
 Modules a subcommand alone needs (errbounds, spectrum) are imported where used,
@@ -47,8 +49,8 @@ import sys
 from fractions import Fraction
 
 from . import rootenum, sturm
-from .errors import CertirootError, InvalidArgument, ParseError, echo
-from .polyalg import Polynomial, _fraction_from_str, _nonconstant_degree
+from .errors import CertirootError, ParseError, echo
+from .polyalg import Polynomial, _as_int, _fraction_from_str, _nonconstant_degree
 
 FORMAT_VERSION = 1
 DEFAULT_MAX_DEGREE = 64
@@ -84,7 +86,8 @@ def parse_fraction(text: str, what: str) -> Fraction:
 
 
 def int_arg(text: str, flag: str) -> int:
-    """An integer flag's value as int() reads it; a bad one is a ParseError."""
+    """An integer flag's or variable's value as int() reads it; a bad one is a
+    ParseError."""
     try:
         return int(text)
     except ValueError:
@@ -92,10 +95,12 @@ def int_arg(text: str, flag: str) -> int:
 
 
 def precision_arg(args) -> int:
-    """--precision r of roots, intersect and bounds. Each of their reports holds a
+    """--precision r of roots, intersect and bounds, its whole range [1, r_max]
+    checked here, before any block or --gamma is read. Each report holds a
     denominator of at least 2^r, so above r_max, the largest r whose 2^r prints
     within the digit limit (0: none), r is a ParseError before 2^r is built."""
-    r, limit = int_arg(args.precision, "--precision"), sys.get_int_max_str_digits()
+    r = _as_int(int_arg(args.precision, "--precision"), "precision r", 1)
+    limit = sys.get_int_max_str_digits()
     r_max = (10**limit).bit_length() - 1
     if limit and r > r_max:
         raise ParseError(f"--precision {echo(r)} exceeds {r_max}, above which 2^r "
@@ -109,10 +114,7 @@ def max_degree_limit() -> int:
     raw = os.environ.get("CERTIROOT_MAX_DEGREE", "")
     if not raw:
         return DEFAULT_MAX_DEGREE
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"CERTIROOT_MAX_DEGREE is not an integer: {echo(raw)}") from None
+    return int_arg(raw, "CERTIROOT_MAX_DEGREE")
 
 
 def load_poly_file(path: str) -> tuple[Polynomial, dict]:
@@ -169,8 +171,6 @@ def resolve_gamma(poly: Polynomial, data: dict, r: int, flag_value):
             delta = min(b - a for a, b in zip(values, values[1:]))
     if delta is not None:
         floor = parse_fraction(data.get("factor_floor", "1"), "factor_floor")
-    if r < 1:  # after the blocks parse (their errors come first), before r, d are used
-        raise InvalidArgument("precision r must be >= 1")
     d = _nonconstant_degree(poly, "root enumeration needs degree >= 1")
     if delta is not None:
         from . import errbounds
@@ -312,10 +312,7 @@ def cmd_bounds(args) -> dict:
 def cmd_spectrum(args) -> dict:
     from . import spectrum
 
-    try:
-        stages = tuple(int(h) for h in args.stages.split(","))
-    except ValueError:
-        raise ParseError(f"bad --stages: {echo(args.stages)}") from None
+    stages = tuple(int_arg(h, "--stages") for h in args.stages.split(","))
     sched = spectrum.StageSchedule(stages, parse_fraction(args.s, "--s"))
     y = spectrum.BitSource(load_bits_file(args.y_bits))
     coeff_sources = [spectrum.BitSource(load_bits_file(p)) for p in args.coeff_bits]

@@ -35,9 +35,7 @@ class ApproxContext(NamedTuple("ApproxContext", [("r", int), ("d", int)])):
     __slots__ = ()
 
     def __new__(cls, r: int, d: int):
-        r, d = _as_int(r, "ApproxContext r"), _as_int(d, "ApproxContext d")
-        if r < 1 or d < 1:
-            raise InvalidArgument("ApproxContext needs r >= 1 and d >= 1")
+        r, d = _as_int(r, "ApproxContext r", 1), _as_int(d, "ApproxContext d", 1)
         return super().__new__(cls, r, d)
 
     @classmethod

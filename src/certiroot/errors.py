@@ -4,8 +4,10 @@ Every failure mode that callers are expected to handle derives from
 :class:`CertirootError`, so the CLI (and library users) can catch one base
 class and map the concrete type to a structured error record. A bad
 argument, an int below its least included, raises :class:`InvalidArgument`,
-also a ``ValueError``; only programming errors (a float or a bool where an
-exact rational or an int is asked, a bit index < 1) do not.
+also a ``ValueError``, and a threshold gamma <= 0 :class:`ThresholdNonPositive`;
+only programming errors (a float or a bool where an exact rational or an int
+is asked, a bit index < 1) do not. Each rule has one owner in ``polyalg``:
+``_as_int`` for an int, ``_as_fraction`` for a rational, ``_as_gamma`` for gamma.
 A message shows each value it names through :func:`echo`, so a long one is cut.
 """
 

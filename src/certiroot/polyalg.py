@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Union
 
-from .errors import DegreeTooLow, DivisionByZeroPolynomial, InvalidArgument, echo
+from .errors import (DegreeTooLow, DivisionByZeroPolynomial, InvalidArgument,
+                     ThresholdNonPositive, echo)
 
 Rat = Union[Fraction, int]
 
@@ -79,6 +80,17 @@ def _as_int(value, name: str, least: int | None = None) -> int:
         raise TypeError(f"{name} must be an int, got {echo(value)}")
     if least is not None and value < least:
         raise InvalidArgument(f"{name} must be >= {least}")
+    return value
+
+
+def _as_gamma(value):
+    """value, through the one gate for a sign threshold gamma: an int or a
+    Fraction, returned unconverted; a float or a bool is a TypeError, as in
+    _as_fraction, and a value <= 0 a ThresholdNonPositive."""
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise TypeError(f"not an exact rational: {echo(value)}")
+    if value <= 0:
+        raise ThresholdNonPositive(f"gamma must be > 0, got {echo(value)}")
     return value
 
 

@@ -85,16 +85,11 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .approxsign import max_changes_of_classes, min_changes_of_classes
-from .errors import (
-    DegreeUnresolved,
-    IdenticalPolynomials,
-    InvalidArgument,
-    ThresholdNonPositive,
-    echo,
-)
+from .errors import DegreeUnresolved, IdenticalPolynomials, InvalidArgument, echo
 from .polyalg import (
     Polynomial,
     _as_fraction,
+    _as_gamma,
     _as_int,
     _from_coprime_ints,
     _nonconstant_degree,
@@ -109,12 +104,8 @@ class PrecisionParams(NamedTuple("PrecisionParams", [("r", int), ("gamma", Fract
     __slots__ = ()
 
     def __new__(cls, r: int, gamma):
-        r, g = _as_int(r, "precision r"), _as_fraction(gamma)
-        if g <= 0:
-            raise ThresholdNonPositive(f"gamma must be > 0, got {echo(g)}")
-        if r < 1:
-            raise InvalidArgument("precision r must be >= 1")
-        return super().__new__(cls, r, g)
+        g = _as_gamma(_as_fraction(gamma))
+        return super().__new__(cls, _as_int(r, "precision r", 1), g)
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through here: validate it too
@@ -271,9 +262,8 @@ class _ScaledChain:
     Every entry but t is stored divided by 2^s, s = k*min(h, r), and compared
     with lims[min(h, r)][idx] = ceil(lim / 2^s), which decides each test as
     the undivided entries and lim would (the module docstring has the proof).
-
-    mirrored[idx] holds the Horner list of V(-m), the odd powers negated, so
-    that certified_off evaluates a range left of 0 as its mirror right of 0.
+    polys[idx] is element idx's one Horner row, with lim: certified_off's
+    step 3 runs it on either side of 0.
 
     Nothing is written after __init__: classify builds each class vector
     from what root_enum passes it, the exact values its forms carry and the
@@ -285,13 +275,11 @@ class _ScaledChain:
         g_num, g_den = gamma.numerator, gamma.denominator
         self.r = r
         self.polys = []  # (horner coeffs high->low as ints, lim int)
-        self.mirrored = []
         for p in chain:
             ints, dens = _over_common_denominator(p)
             k = len(ints) - 1
             horner = [ints[k - j] * s**j for j in range(k + 1)]
             self.polys.append((horner, -(-g_num * dens * s**k // g_den)))
-            self.mirrored.append([-h if (k - j) & 1 else h for j, h in enumerate(horner)])
         self.lims = [[-(-lim >> (len(horner) - 1) * h) for horner, lim in self.polys]
                      for h in range(r + 1)]
 
@@ -347,12 +335,12 @@ class _ScaledChain:
            depth even around high-multiplicity roots. The sum lies between
            max(|V(m0)|, |V(m1)|), the form's values at the ends, and bound:
            only when these two leave the test open is the form settled.
-        3. Plain interval Horner over [m0, m1] with m0 >= 0, on V and the
-           undivided lim: tight far from the roots. Each step's [lo, hi] *
-           [m0, m1] takes its ends at the corners, and as x >= 0 the sign of
-           each y end picks its x end: two products. A range with m1 <= 0
-           runs the same loop on V(-m) over [-m1, -m0]; negation is exact,
-           so the enclosure is V's.
+        3. Plain interval Horner over [m0, m1], on V and the undivided lim:
+           tight far from the roots. Each step's [lo, hi] * [m0, m1] takes its
+           ends at the corners, and on one side of 0 the sign of each y end
+           picks its x end: two products. For m1 <= 0 the corners reflect,
+           the new lo coming from hi and the new hi from lo, which is the
+           exact product for x <= 0, so both sides run V's one row.
         Only the whole grid [-half, half] holds 0 inside: every other range
         lies in one of its halves. There each step's product is
         +-half * max(|lo|, |hi|), so step 3 would give c0 +- sum_{j>=1}
@@ -370,11 +358,13 @@ class _ScaledChain:
         if m0 < 0 < m1:
             return False
         horner, lim = self.polys[idx]
-        if m1 <= 0:
-            horner, m0, m1 = self.mirrored[idx], -m1, -m0
         lo = hi = horner[0]
-        for h in horner[1:]:
-            lo, hi = lo * (m0 if lo >= 0 else m1) + h, hi * (m1 if hi >= 0 else m0) + h
+        if m1 <= 0:
+            for h in horner[1:]:
+                lo, hi = hi * (m0 if hi >= 0 else m1) + h, lo * (m1 if lo >= 0 else m0) + h
+        else:
+            for h in horner[1:]:
+                lo, hi = lo * (m0 if lo >= 0 else m1) + h, hi * (m1 if hi >= 0 else m0) + h
         return lo >= lim or -hi >= lim
 
     @staticmethod

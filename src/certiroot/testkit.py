@@ -15,9 +15,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (DegreeOverflow, InvalidArgument, NoSignChange, ThresholdNonPositive,
-                     TooLong, echo)
-from .polyalg import Polynomial, _as_fraction, _as_int, _product
+from .errors import DegreeOverflow, InvalidArgument, NoSignChange, TooLong, echo
+from .polyalg import Polynomial, _as_fraction, _as_gamma, _as_int, _product
 
 
 class PlantedSpec(NamedTuple):
@@ -98,10 +97,7 @@ def sign_extremes(theta, gamma) -> tuple[int, int]:
         raise TooLong(f"{n} entries: enumeration is 2^k, cap is 20")
     if n == 0:
         raise InvalidArgument("empty vector")
-    if not isinstance(gamma, (int, Fraction)) or isinstance(gamma, bool):
-        raise TypeError(f"not an exact rational: {echo(gamma)}")
-    if gamma <= 0:
-        raise ThresholdNonPositive(f"gamma must be > 0, got {echo(gamma)}")
+    gamma = _as_gamma(gamma)
     fixed = []
     free_slots = []
     for i, v in enumerate(theta):

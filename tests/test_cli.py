@@ -483,7 +483,15 @@ BAD_ARGUMENTS = {
         ["intersect", "--a", "{a}", "--b", "{b}", "--precision", "0"], "precision"),
     "bounds-precision-0": (
         "InvalidArgument", {"p": X2},
-        ["bounds", "--poly", "{p}", "--point", "1", "--precision", "0"], "r >= 1"),
+        ["bounds", "--poly", "{p}", "--point", "1", "--precision", "0"],
+        "precision r must be >= 1"),
+    "roots-precision-0-before-blocks": (
+        "InvalidArgument", {"p": {**X2, "separation": "abc"}},
+        ["roots", "--poly", "{p}", "--precision", "0"], "precision r must be >= 1"),
+    "roots-precision-0-before-gamma": (
+        "InvalidArgument", {"p": X2M2},
+        ["roots", "--poly", "{p}", "--precision", "0", "--gamma", "0"],
+        "precision r must be >= 1"),
     "separation-0": (
         "InvalidArgument", {"p": {**X2, "separation": "0"}},
         ["roots", "--poly", "{p}", "--precision", "4"], "delta_min"),
@@ -533,7 +541,7 @@ BAD_ARGUMENTS = {
         ["intersect", "--a", "{a}", "--b", "{b}", "--precision", "4"], "= 1/777"),
     "max-degree-not-an-integer": (
         "ParseError", {"p": X2}, ["roots", "--poly", "{p}", "--precision", "4"],
-        "CERTIROOT_MAX_DEGREE is not an integer: 'abc'", {"CERTIROOT_MAX_DEGREE": "abc"}),
+        "bad CERTIROOT_MAX_DEGREE: 'abc'", {"CERTIROOT_MAX_DEGREE": "abc"}),
     "empty-coeffs": (
         "ParseError", {"p": {"coeffs": []}}, ["roots", "--poly", "{p}", "--precision", "4"],
         "non-empty list"),
@@ -544,7 +552,7 @@ BAD_ARGUMENTS = {
     "non-integer-stage": (
         "ParseError", {"y": "0101", "a": "0101"},
         ["spectrum", "--y-bits", "{y}", "--coeff-bits", "{a}", "--stages", "2,x",
-         "--length", "4"], "bad --stages: '2,x'"),
+         "--length", "4"], "bad --stages: 'x'"),
     "exponent-coefficient": (
         "ParseError", {"p": {"coeffs": ["1", "1e10000000"]}},
         ["roots", "--poly", "{p}", "--precision", "4"], "coeffs[1]: '1e10000000' (a numerator"),

@@ -225,6 +225,9 @@ INT_PARAMETERS = {
                            "multiplicity", 2, 1),
     "plant-max_degree": (lambda v: plant(PlantedSpec(), max_degree=v), "max_degree", 0, None),
     "bisect_root-r": (lambda v: bisect_root(X2M2, 0, 2, v), "r", 4, 0),
+    "PrecisionParams-r": (lambda v: PrecisionParams(v, Fraction(1, 64)), "precision r", 4, 1),
+    "ApproxContext-r": (lambda v: ApproxContext(r=v, d=2), "ApproxContext r", 4, 1),
+    "ApproxContext-d": (lambda v: ApproxContext(r=4, d=v), "ApproxContext d", 2, 1),
 }
 
 
@@ -276,3 +279,28 @@ def test_float_and_bool_are_not_exact_rationals(case):
     for bad in (0.01, True, False):
         with pytest.raises(TypeError, match=f"^not an exact rational: {bad}$"):
             RATIONALS[case](bad)
+
+
+# (call given a gamma where a sign threshold is asked)
+GAMMAS = {
+    "PrecisionParams": lambda g: PrecisionParams(4, g),
+    "max_sign_change": lambda g: max_sign_change((1, -1), g),
+    "min_sign_change": lambda g: min_sign_change((1, -1), g),
+    "sign_extremes": lambda g: sign_extremes((1, -1), g),
+}
+
+
+@pytest.mark.parametrize("gamma, error, message", [
+    (0, ThresholdNonPositive, "gamma must be > 0, got 0"),
+    (-1, ThresholdNonPositive, "gamma must be > 0, got -1"),
+    (Fraction(-1, 3), ThresholdNonPositive, "gamma must be > 0, got -1/3"),
+    (0.01, TypeError, "not an exact rational: 0.01"),
+    (True, TypeError, "not an exact rational: True"),
+])
+def test_every_gamma_is_read_through_one_gate(gamma, error, message):
+    """The enumerator's parameters, both sign counters and the oracle that
+    checks them refuse a bad gamma with one type and one message."""
+    for case, call in GAMMAS.items():
+        with pytest.raises(error) as raised:
+            call(gamma)
+        assert (type(raised.value), str(raised.value)) == (error, message), case

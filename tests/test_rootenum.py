@@ -417,14 +417,14 @@ def test_inherited_forms_match_direct_shift_and_reference():
 
 def test_plain_interval_horner_on_both_sides_of_zero():
     """Where the exact values pass and the centred form leaves the test open,
-    certified_off's answer is the plain interval Horner pass's. On ranges
-    with m0 >= 0 (an end at 0 included) it runs on V, and on ranges with
-    m1 <= 0 on V(-m) over the mirrored range; gamma is drawn so that lim
+    certified_off's answer is the plain interval Horner pass's. It runs on
+    V's one row on ranges with m0 >= 0 (an end at 0 included) and, with the
+    corners reflected, on ranges with m1 <= 0; gamma is drawn so that lim
     falls in the window the centred form leaves open, and the form and lim
-    are passed undivided. A range holding 0
-    inside is drawn symmetric, as the whole grid is, and lim on both sides
-    of its centred bound |a_0| - sum_{j>=1} |a_j|. Each side must give the
-    four-product reference's bool, and each must give both bools."""
+    are passed undivided. A range holding 0 inside is drawn symmetric, as
+    the whole grid is, and lim on both sides of its centred bound |a_0| -
+    sum_{j>=1} |a_j|. Each side must give the four-product reference's bool,
+    and each must give both bools."""
     local = random.Random(0x2B0)
     outcomes = {side: set() for side in ("m0 >= 0", "m1 <= 0", "m0 < 0 < m1")}
     ends_at_zero = set()
@@ -595,24 +595,22 @@ def test_stored_forms_are_the_undivided_forms_over_their_power_of_two():
 
 @pytest.mark.parametrize("r", [8, 64])
 def test_scaled_rows_match_the_fraction_formula(chain_inputs, r):
-    """_ScaledChain's integer rows, mirrored rows and per-level limits are
-    those of the Fraction formula: C_j = c_j * den with den the least common
+    """_ScaledChain's integer rows and per-level limits are those of the
+    Fraction formula: C_j = c_j * den with den the least common
     denominator, lim = ceil(g_num * den * 2^(rk) / g_den), and level h's
     limit ceil(lim / 2^(k*h)), on conftest's chain_inputs."""
     for poly in chain_inputs:
         chain = sturm_chain(poly)
         for gamma in Fraction(1, 2 ** (poly.degree * r)), Fraction(22, 7):
             scaled = rootenum._ScaledChain(chain, r, gamma)
-            polys, mirrored = [], []
+            polys = []
             for p in chain:
                 den = math.lcm(*(c.denominator for c in p.coeffs))
                 k = p.degree
-                rows = [(int(c * den) << (r * (k - i)), i) for i, c in enumerate(p.coeffs)][::-1]
+                row = [int(c * den) << (r * (k - i)) for i, c in enumerate(p.coeffs)][::-1]
                 lim = math.ceil(gamma.numerator * den * Fraction(2 ** (r * k), gamma.denominator))
-                polys.append(([v for v, _ in rows], lim))
-                mirrored.append([-v if i % 2 else v for v, i in rows])
+                polys.append((row, lim))
             assert scaled.polys == polys
-            assert scaled.mirrored == mirrored
             assert scaled.lims == [[math.ceil(Fraction(lim, 2 ** ((len(row) - 1) * h)))
                                     for row, lim in polys] for h in range(r + 1)]
 

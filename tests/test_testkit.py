@@ -20,9 +20,6 @@ from certiroot import (
     sign_extremes,
 )
 
-rng = random.Random(0x7E57)
-
-
 # --- plant ------------------------------------------------------------------
 
 
@@ -66,11 +63,12 @@ def test_plant_metadata():
 
 
 def test_plant_roots_are_exactly_the_planted_ones():
+    local = random.Random(0x7E57)
     for _ in range(30):
-        deg = rng.randint(1, 4)
+        deg = local.randint(1, 4)
         roots = set()
         while len(roots) < deg:
-            roots.add(Fraction(rng.randint(-20, 20), rng.randint(1, 4)))
+            roots.add(Fraction(local.randint(-20, 20), local.randint(1, 4)))
         planted = plant(PlantedSpec(real_roots=tuple((rho, 1) for rho in sorted(roots))))
         p = planted.polynomial
         for rho in roots:
@@ -83,25 +81,25 @@ def test_plant_roots_are_exactly_the_planted_ones():
             assert planted.delta_min == min(gaps)
 
 
-def random_planted_spec(k):
+def random_planted_spec(local, k):
     """A spec with repeated roots whose denominators reach 10^12 in every other
     spec, the root 0 in every third, quadratics x^2 + p x + q whose p and q
     mostly have different denominators, and a rational leading factor of
     either sign."""
     most = (6, 10**12)[k % 2]
     distinct = set()
-    for _ in range(rng.randint(0, 4)):
-        b = rng.randint(1, most)
-        distinct.add(Fraction(rng.randint(-20 * b, 20 * b), b))
+    for _ in range(local.randint(0, 4)):
+        b = local.randint(1, most)
+        distinct.add(Fraction(local.randint(-20 * b, 20 * b), b))
     if k % 3 == 0:
         distinct.add(Fraction(0))
-    roots = [(rho, rng.randint(1, 3)) for rho in sorted(distinct)]
+    roots = [(rho, local.randint(1, 3)) for rho in sorted(distinct)]
     quads = []
-    for _ in range(rng.randint(0, 2)):
-        p = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 10**12 + 39]))
-        q = p * p / 4 + Fraction(rng.randint(1, 9), rng.randint(1, 8))
+    for _ in range(local.randint(0, 2)):
+        p = Fraction(local.randint(-9, 9), local.choice([1, 2, 3, 4, 10**12 + 39]))
+        q = p * p / 4 + Fraction(local.randint(1, 9), local.randint(1, 8))
         quads.append((p, q))
-    leading = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    leading = Fraction(local.choice([-1, 1]) * local.randint(1, 9), local.randint(1, 5))
     return PlantedSpec(tuple(roots), tuple(quads), leading)
 
 
@@ -111,7 +109,8 @@ def test_plant_equals_a_factor_by_factor_product():
     every_case = PlantedSpec(
         ((Fraction(-5, 999999999989), 3), (Fraction(0), 2), (Fraction(7, 10**12), 1)),
         ((Fraction(1, 3), Fraction(3, 4)), (Fraction(-2, 5), Fraction(5, 7))), Fraction(-7, 3))
-    for spec in [every_case] + [random_planted_spec(k) for k in range(60)]:
+    local = random.Random(0x7E58)
+    for spec in [every_case] + [random_planted_spec(local, k) for k in range(60)]:
         want = Polynomial([spec.leading])
         for rho, m in spec.real_roots:
             for _ in range(m):
@@ -179,10 +178,10 @@ def test_sign_extremes_agrees_with_direct_enumeration():
     # re-derive with an independent (if slower) enumeration over sign tuples
     import itertools
 
-    g = Fraction(1, 10)
+    g, local = Fraction(1, 10), random.Random(0x7E59)
     for _ in range(80):
-        n = rng.randint(1, 7)
-        theta = tuple(Fraction(rng.randint(-30, 30), 100) for _ in range(n))
+        n = local.randint(1, 7)
+        theta = tuple(Fraction(local.randint(-30, 30), 100) for _ in range(n))
         opts = [(1,) if v >= g else ((-1,) if v <= -g else (1, -1)) for v in theta]
         counts = {
             sum(1 for a, b in zip(sig, sig[1:]) if a != b)
@@ -218,9 +217,10 @@ def test_bisect_no_sign_change():
 
 
 def test_bisect_tracks_true_root():
+    local = random.Random(0x7E5A)
     for _ in range(25):
-        rho = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        p = Polynomial([-rho, 1]) * Polynomial([rng.randint(1, 3), 0, 1])
+        rho = Fraction(local.randint(-50, 50), local.randint(1, 9))
+        p = Polynomial([-rho, 1]) * Polynomial([local.randint(1, 3), 0, 1])
         lo, hi = rho - Fraction(3, 2), rho + Fraction(5, 3)
         if p.eval(lo) * p.eval(hi) >= 0:
             continue
