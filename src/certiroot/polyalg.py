@@ -3,10 +3,13 @@
 Coefficients are `fractions.Fraction` values (always stored reduced, positive
 denominator), index i holding the coefficient of x^i. No floating point is
 used anywhere: every downstream guarantee (no missed root, exact counts) is
-unconditional only under exact arithmetic. `_product`, the one convolution,
-multiplies integer rows (ints, den) standing for ints/den, which `*` and
-`testkit.plant` build from their operands' Fractions; it and `eval` build
-each result coefficient once, from a reduced integer pair (`_ratio`).
+unconditional only under exact arithmetic. `__init__` also builds each
+polynomial's integer row `_row = (ints, den)`: den the least common
+denominator of the coefficients, ints[i] = c_i * den. `eval`, `*`,
+`sturm_chain` and `_ScaledChain` read it. `_product`, the one convolution,
+multiplies such rows (`testkit.plant` builds its own from its factors'
+Fractions); it and `eval` build each result coefficient once, from a
+reduced integer pair (`_ratio`).
 
 The zero polynomial is representable — it is what remainder sequences
 terminate in — and is distinguished from degree-0 constants: its `degree`
@@ -20,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (DegreeTooLow, DivisionByZeroPolynomial, InvalidArgument,
                      ThresholdNonPositive, echo)
@@ -101,7 +104,7 @@ class Polynomial:
     polynomial which is stored as the single coefficient 0.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_row")
 
     def __init__(self, coeffs: Iterable):
         cs = [_as_fraction(c) for c in coeffs]
@@ -109,7 +112,9 @@ class Polynomial:
             cs.pop()
         if not cs:
             cs = [Fraction(0)]
+        den = math.lcm(*(c.denominator for c in cs))
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_row", (tuple(c.numerator * (den // c.denominator) for c in cs), den))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -146,12 +151,12 @@ class Polynomial:
     # -- evaluation and calculus ----------------------------------------------
 
     def eval(self, x: Rat) -> Fraction:
-        """Exact value at x, by Horner on the integer row over the least common denominator.
+        """Exact value at x, by Horner on the polynomial's integer row.
 
         >>> Polynomial(["1/2", 0, 3]).eval("-2/3")
         Fraction(11, 6)
         """
-        (n, d), (ints, den) = _as_fraction(x).as_integer_ratio(), _over_common_denominator(self)
+        (n, d), (ints, den) = _as_fraction(x).as_integer_ratio(), self._row
         acc, dj = ints[-1], 1  # acc = acc*n + a_i*d^j at x = n/d, so p(x) = acc / (den*d^deg)
         for a in reversed(ints[:-1]):
             dj *= d
@@ -180,32 +185,26 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        """Product, as _product of the two operands' common-denominator rows."""
+        """Product, as _product of the two operands' integer rows."""
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return _product(map(_over_common_denominator, (self, other)))
+        return _product((self._row, other._row))
 
     def scale(self, k: Rat) -> "Polynomial":
         k = _as_fraction(k)
         return Polynomial([k * c for c in self.coeffs])
 
 
-def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:
-    """(ints, den) with p = ints / den: den is the least common denominator of
-    p's coefficients and ints[i] = c_i * den, built from integers alone."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
-
-
-def _product(rows: Iterable[tuple[list[int], int]]) -> Polynomial:
+def _product(rows: Iterable[tuple[Sequence[int], int]]) -> Polynomial:
     """The product of rows (1 for none), expanded once on one integer row.
 
     A row (ints, den) with den > 0 stands for ints/den and need not be reduced:
-    __mul__ passes _over_common_denominator's rows, testkit.plant rows built
-    from its factors' Fractions. The fold starts from the first row, with no
-    seed [1], and convolves each next row into it over one running denominator,
-    the product of the rows' denominators; one reduced Fraction per output
-    coefficient is built at the end, and no intermediate Polynomial or Fraction.
+    __mul__ passes its operands' _row, testkit.plant rows built from its
+    factors' Fractions; none is built here. The fold starts from the first
+    row, with no seed [1], and convolves each next row into it over one running
+    denominator, the product of the rows' denominators; one reduced Fraction
+    per output coefficient is built at the end, and no intermediate Polynomial
+    or Fraction.
     """
     rows = iter(rows)
     out, den = next(rows, ([1], 1))
@@ -235,11 +234,12 @@ def _from_coprime_ints(n: int, d: int) -> Fraction:
     return q
 
 
-def _ratio(n: int, d: int) -> Fraction:
-    """Fraction(n, d) for ints n and d > 0: reduced by one gcd, then built by
-    _from_coprime_ints (gcd(0, d) = d, so 0 is 0/1)."""
+def _ratio(n: int, d: int, k: int = 1) -> Fraction:
+    """Fraction(k * n, d) for ints n, d > 0 and k coprime to d: reduced by
+    gcd(n, d), which is gcd(k * n, d) and cheaper when k is the larger, then
+    built by _from_coprime_ints (gcd(0, d) = d, so 0 is 0/1)."""
     g = math.gcd(n, d)
-    return _from_coprime_ints(n // g, d // g)
+    return _from_coprime_ints(k * (n // g), d // g)
 
 
 def _nonconstant_degree(p: Polynomial, message: str) -> int:

@@ -93,7 +93,6 @@ from .polyalg import (
     _as_int,
     _from_coprime_ints,
     _nonconstant_degree,
-    _over_common_denominator,
 )
 from .sturm import cauchy_bound, sturm_chain
 
@@ -247,9 +246,9 @@ def _split_kernel(n: int):
 class _ScaledChain:
     """Sturm chain with integer-rescaled coefficients for one grid.
 
-    A grid point is m / 2^r. For chain element P of degree k with
-    coefficients C_j / den (C_j integers over a common denominator), the
-    integer V(m) = sum_j C_j * 2^(r(k-j)) * m^j satisfies
+    A grid point is m / 2^r. For chain element P of degree k with integer
+    row P._row = (C, den), coefficients C_j / den, the integer
+    V(m) = sum_j C_j * 2^(r(k-j)) * m^j satisfies
     P(m / 2^r) = V(m) / (den * 2^(rk)), so sign and |P| >= gamma tests are
     pure integer comparisons: with gamma = g_num / g_den,
     |P| < gamma  iff  |V| < lim = ceil(g_num * den * 2^(rk) / g_den).
@@ -276,10 +275,10 @@ class _ScaledChain:
         self.r = r
         self.polys = []  # (horner coeffs high->low as ints, lim int)
         for p in chain:
-            ints, dens = _over_common_denominator(p)
+            ints, den = p._row
             k = len(ints) - 1
             horner = [ints[k - j] * s**j for j in range(k + 1)]
-            self.polys.append((horner, -(-g_num * dens * s**k // g_den)))
+            self.polys.append((horner, -(-g_num * den * s**k // g_den)))
         self.lims = [[-(-lim >> (len(horner) - 1) * h) for horner, lim in self.polys]
                      for h in range(r + 1)]
 

@@ -24,8 +24,9 @@ integer vector computed with no division. Its content g is divided out, and
 the sign of -L goes to Q_i, so lam_i = lam_{i-2} * g / |L| > 0. Every step
 is exact, so lam_i * Q_i is the Euclidean P_i coefficient by coefficient.
 Division on Fractions would run a gcd at every operation; here one rational
-is formed per element, and each returned coefficient lam_i * c is built once
-from its integer pair (num lam_i * c, den lam_i), reduced by one gcd.
+is formed per element, and each returned coefficient lam_i * c is built once:
+num lam_i and den lam_i are coprime, so it is reduced by gcd(c, den lam_i),
+a gcd of Q_i's small coefficient rather than of the product num lam_i * c.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EndpointIsRoot, InvalidArgument, echo
-from .polyalg import (Polynomial, _as_fraction, _nonconstant_degree, _over_common_denominator,
-                      _ratio)
+from .polyalg import Polynomial, _as_fraction, _nonconstant_degree, _ratio
 # Not called here. The benchmark's tracer counts Euclidean divisions by
 # wrapping sturm.euclid_rem, so the name stays in this module's namespace.
 from .polyalg import euclid_rem
@@ -64,7 +64,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     at most deg(p)+1 elements and degrees strictly decrease from P1 on.
     """
     _nonconstant_degree(p, "Sturm chain needs a non-constant polynomial")
-    ints, den = _over_common_denominator(p)
+    ints, den = p._row
     lam, q = _primitive(ints, Fraction(1, den))
     rows = [(lam, q), _primitive([i * c for i, c in enumerate(q)][1:], lam)]
     while len(rows[-1][1]) > 1:
@@ -76,7 +76,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
             break
         lead = b[-1] ** (len(a) - len(b) + 1)
         rows.append(_primitive(rem if lead < 0 else [-c for c in rem], lam / abs(lead)))
-    return (p, *(Polynomial([_ratio(lam.numerator * c, lam.denominator) for c in q])
+    return (p, *(Polynomial([_ratio(c, lam.denominator, lam.numerator) for c in q])
                  for lam, q in rows[1:]))
 
 

@@ -1,12 +1,14 @@
 """Exact polynomial arithmetic: construction, evaluation, division."""
 
+import copy
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from certiroot import (
     DivisionByZeroPolynomial,
@@ -15,8 +17,10 @@ from certiroot import (
     PrecisionParams,
     euclid_rem,
     poly_divmod,
+    sturm_chain,
 )
-from certiroot.polyalg import _over_common_denominator, _product, _ratio
+from certiroot.polyalg import _product, _ratio
+from certiroot.testkit import PlantedSpec, plant
 
 rng = random.Random(0xC0FFEE)
 
@@ -230,21 +234,28 @@ def test_product_matches_a_schoolbook_fold(factors):
     want = (Fraction(1),)
     for f in factors:
         want = schoolbook_product(want, f.coeffs)
-    got = _product(map(_over_common_denominator, factors))
+    got = _product(f._row for f in factors)
     assert got.coeffs == want
     assert all(is_reduced(c) for c in got.coeffs)
 
 
-@given(st.integers(), st.integers(min_value=1))
-@example(0, 1)
-@example(0, 10**31)
-@example(-12, 18)
-@example(-(10**31), 6 * 10**30)
-@example(3**70 * 2**5, 2**9 * 3**40 * 7)
-def test_ratio_is_fraction_n_over_d(n, d):
-    """_ratio(n, d) is Fraction(n, d): n = 0, negative n and n past 10^30
-    included, reduced with a positive denominator."""
-    q, want = _ratio(n, d), Fraction(n, d)
+@given(st.integers(), st.integers(min_value=1), st.integers() | st.just(1))
+@example(0, 1, 1)
+@example(0, 10**31, 1)
+@example(-12, 18, 1)
+@example(-(10**31), 6 * 10**30, 1)
+@example(3**70 * 2**5, 2**9 * 3**40 * 7, 1)
+@example(0, 18, 5)
+@example(-12, 18, 35)
+@example(-(10**31), 6 * 10**30, -7)
+@example(3**70 * 2**5, 2**9 * 3**40 * 7, 5**90)
+@example(-(2**40), 3 * 2**9, 11**60)
+def test_ratio_is_fraction_n_over_d(n, d, k):
+    """_ratio(n, d, k) is Fraction(k * n, d) for k coprime to d: k = 1 and
+    k != 1, n = 0, negative n, n past 10^30 and k past 2^200 included,
+    reduced with a positive denominator."""
+    assume(math.gcd(k, d) == 1)
+    q, want = _ratio(n, d, k), Fraction(k * n, d)
     assert is_reduced(q)
     assert (q.numerator, q.denominator) == (want.numerator, want.denominator)
     assert q == want and hash(q) == hash(want) and repr(q) == repr(want)
@@ -383,3 +394,32 @@ def test_hash_and_eq_consistent():
 def test_repr_round_trips():
     p = Polynomial([Fraction(1, 3), -2])
     assert eval(repr(p), {"Polynomial": Polynomial, "Fraction": Fraction}) == p
+
+
+def test_every_polynomial_carries_its_integer_row():
+    """Each way the package makes a polynomial leaves _row a tuple pair
+    (ints, L): L the lcm of the coefficient denominators, ints a tuple of
+    ints with ints[i] = c_i * L, and ((0,), 1) for the zero polynomial."""
+    local = random.Random(0x30)
+    made = [Polynomial([]), Polynomial([0, 0])]
+    for _ in range(40):
+        p, q = rand_poly(local, span=10**6), rand_poly(local)
+        made += [
+            Polynomial([int(c) for c in p.coeffs]),
+            Polynomial(q.coeffs),
+            Polynomial([str(c) for c in p.coeffs]),
+            p + q, p - q, p - p, -p, p * q, p.derivative(), p.scale(rand_fraction(local)),
+            copy.copy(p), pickle.loads(pickle.dumps(p)),
+        ]
+        if p.degree:
+            made += sturm_chain(p)
+        roots = {rand_fraction(local): local.randint(1, 3) for _ in range(local.randint(0, 3))}
+        made.append(plant(PlantedSpec(tuple(roots.items()), ((Fraction(1, 3), Fraction(7, 5)),),
+                                      rand_fraction(local) or Fraction(1, 7))).polynomial)
+    for f in made:
+        ints, den = f._row
+        assert type(f._row) is tuple and type(ints) is tuple
+        assert all(type(a) is int for a in ints) and type(den) is int
+        lcd = math.lcm(*(c.denominator for c in f.coeffs))
+        assert f._row == (tuple(c * lcd for c in f.coeffs), lcd)
+    assert Polynomial([])._row == ((0,), 1)

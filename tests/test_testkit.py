@@ -15,7 +15,6 @@ from certiroot import (
     bisect_root,
     cauchy_bound,
     count_roots,
-    max_sign_change,
     plant,
     sign_extremes,
 )
@@ -161,17 +160,6 @@ def test_sign_extremes_too_long():
         sign_extremes((), Fraction(1, 2))
     with pytest.raises(ThresholdNonPositive):
         sign_extremes((1,), 0)
-
-
-@pytest.mark.parametrize("gamma", [0, -1, Fraction(-1, 3)])
-def test_sign_extremes_refuses_gamma_as_approxsign_does(gamma):
-    """The oracle and the code it checks raise the same type and message."""
-    with pytest.raises(ThresholdNonPositive) as oracle:
-        sign_extremes((1, -1), gamma)
-    with pytest.raises(ThresholdNonPositive) as checked:
-        max_sign_change((1, -1), gamma)
-    assert type(oracle.value) is type(checked.value)
-    assert str(oracle.value) == str(checked.value)
 
 
 def test_sign_extremes_agrees_with_direct_enumeration():
