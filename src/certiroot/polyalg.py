@@ -3,13 +3,14 @@
 Coefficients are `fractions.Fraction` values (always stored reduced, positive
 denominator), index i holding the coefficient of x^i. No floating point is
 used anywhere: every downstream guarantee (no missed root, exact counts) is
-unconditional only under exact arithmetic. `__init__` also builds each
-polynomial's integer row `_row = (ints, den)`: den the least common
-denominator of the coefficients, ints[i] = c_i * den. `eval`, `*`,
-`sturm_chain` and `_ScaledChain` read it. `_product`, the one convolution,
-multiplies such rows (`testkit.plant` builds its own from its factors'
-Fractions); it and `eval` build each result coefficient once, from a
-reduced integer pair (`_ratio`).
+unconditional only under exact arithmetic. Each polynomial carries its
+integer row `_row = (ints, den)`: den the least common denominator of the
+coefficients, ints[i] = c_i * den, read by `eval`, `*`, `sturm_chain`,
+`cauchy_bound` and `_ScaledChain`. `__init__`, the one path for int,
+Fraction and string input, builds it from the coefficients; `_product` (so
+`*` and `testkit.plant`) and `sturm_chain` hold it reduced and hand it over
+through `_from_row`, with no lcm. They and `eval` build each result
+coefficient once, from a reduced integer pair (`_ratio`).
 
 The zero polynomial is representable — it is what remainder sequences
 terminate in — and is distinguished from degree-0 constants: its `degree`
@@ -200,11 +201,11 @@ def _product(rows: Iterable[tuple[Sequence[int], int]]) -> Polynomial:
 
     A row (ints, den) with den > 0 stands for ints/den and need not be reduced:
     __mul__ passes its operands' _row, testkit.plant rows built from its
-    factors' Fractions; none is built here. The fold starts from the first
-    row, with no seed [1], and convolves each next row into it over one running
-    denominator, the product of the rows' denominators; one reduced Fraction
-    per output coefficient is built at the end, and no intermediate Polynomial
-    or Fraction.
+    factors' integer pairs. The fold starts from the first row, with no seed
+    [1], and convolves each next row into it over one running denominator,
+    the product of the rows' denominators. The result is trimmed, divided
+    once by gcd(den, *ints) and handed to _from_row with one reduced Fraction
+    per coefficient: no intermediate Polynomial or Fraction, and no lcm.
     """
     rows = iter(rows)
     out, den = next(rows, ([1], 1))
@@ -214,7 +215,22 @@ def _product(rows: Iterable[tuple[Sequence[int], int]]) -> Polynomial:
             for j, b in enumerate(ys, i):
                 acc[j] += a * b
         out, den = acc, den * d
-    return Polynomial([_ratio(c, den) for c in out])
+    while len(out) > 1 and not out[-1]:
+        out = out[:-1]
+    g = math.gcd(den, *out)
+    ints, den = tuple(c // g for c in out), den // g
+    return _from_row(tuple(_ratio(c, den) for c in ints), (ints, den))
+
+
+def _from_row(coeffs: tuple, row: tuple) -> Polynomial:
+    """Polynomial(coeffs), with coeffs and _row set as given, for a maker that
+    holds both: row = (ints, den) reduced (gcd(den, *ints) = 1, den > 0, ints
+    a trimmed tuple) and coeffs the tuple of reduced Fractions ints[i]/den. A
+    reduced row's den is their lcm, so no lcm, type check or trim is run."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "coeffs", coeffs)
+    object.__setattr__(p, "_row", row)
+    return p
 
 
 def _from_coprime_ints(n: int, d: int) -> Fraction:

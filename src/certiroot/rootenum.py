@@ -270,15 +270,14 @@ class _ScaledChain:
     """
 
     def __init__(self, chain, r: int, gamma: Fraction):
-        s = 1 << r
         g_num, g_den = gamma.numerator, gamma.denominator
         self.r = r
         self.polys = []  # (horner coeffs high->low as ints, lim int)
         for p in chain:
             ints, den = p._row
             k = len(ints) - 1
-            horner = [ints[k - j] * s**j for j in range(k + 1)]
-            self.polys.append((horner, -(-g_num * den * s**k // g_den)))
+            horner = [ints[k - j] << r * j for j in range(k + 1)]
+            self.polys.append((horner, -(-(g_num * den << r * k) // g_den)))
         self.lims = [[-(-lim >> (len(horner) - 1) * h) for horner, lim in self.polys]
                      for h in range(r + 1)]
 
@@ -291,10 +290,10 @@ class _ScaledChain:
 
     def root_form(self, idx: int, half: int) -> list:
         """Centred form of chain[idx] over [-half, half] (c = 0, hw = half, a
-        multiple of 2^r), stored divided by 2^(k*r)."""
-        horner = self.polys[idx][0]
+        power of two, 2^t with t >= r), stored divided by 2^(k*r)."""
+        horner, t = self.polys[idx][0], half.bit_length() - 1
         s = (len(horner) - 1) * self.r
-        a = [h * half**j >> s for j, h in enumerate(reversed(horner))]
+        a = [h << t * j >> s for j, h in enumerate(reversed(horner))]
         return [a, sum(a[::2]) - sum(a[1::2]), sum(a), 0, a[0], sum(map(abs, a))]
 
     def classify(self, m: int, signs: list, forms: list, lims: list, at: int) -> list:

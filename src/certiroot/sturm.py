@@ -27,6 +27,8 @@ Division on Fractions would run a gcd at every operation; here one rational
 is formed per element, and each returned coefficient lam_i * c is built once:
 num lam_i and den lam_i are coprime, so it is reduced by gcd(c, den lam_i),
 a gcd of Q_i's small coefficient rather than of the product num lam_i * c.
+Its row (num lam_i * Q_i, den lam_i) is reduced, as Q_i is primitive, so
+it is handed to the returned Polynomial (polyalg._from_row), with no lcm.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EndpointIsRoot, InvalidArgument, echo
-from .polyalg import Polynomial, _as_fraction, _nonconstant_degree, _ratio
+from .polyalg import Polynomial, _as_fraction, _from_row, _nonconstant_degree, _ratio
 # Not called here. The benchmark's tracer counts Euclidean divisions by
 # wrapping sturm.euclid_rem, so the name stays in this module's namespace.
 from .polyalg import euclid_rem
@@ -59,6 +61,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     vectors, each element kept with the positive rational that scales it to
     the Euclidean one (the module docstring has the step and why it is
     exact), so every element equals -euclid_rem of its two predecessors.
+    Each element after p is handed its integer row from that pair.
 
     Raises DegreeTooLow for constants and the zero polynomial. The chain has
     at most deg(p)+1 elements and degrees strictly decrease from P1 on.
@@ -76,8 +79,11 @@ def sturm_chain(p: Polynomial) -> SturmChain:
             break
         lead = b[-1] ** (len(a) - len(b) + 1)
         rows.append(_primitive(rem if lead < 0 else [-c for c in rem], lam / abs(lead)))
-    return (p, *(Polynomial([_ratio(c, lam.denominator, lam.numerator) for c in q])
-                 for lam, q in rows[1:]))
+    chain = [p]
+    for lam, q in rows[1:]:
+        num, den = lam.numerator, lam.denominator
+        chain.append(_from_row(tuple(_ratio(c, den, num) for c in q), (tuple(num * c for c in q), den)))
+    return tuple(chain)
 
 
 def _primitive(ints: list, lam: Fraction) -> tuple:
@@ -146,8 +152,10 @@ def _count_in(chain: SturmChain, a, b) -> int:
 def cauchy_bound(p: Polynomial) -> Fraction:
     """Cauchy's root bound beta = 1 + max_i |c_i / c_d|.
 
-    Every real root of p lies strictly inside (-beta, beta). Raises
-    DegreeTooLow below degree 1.
+    Every real root of p lies strictly inside (-beta, beta). It is read from
+    p's integer row, where den cancels: (|C_d| + max_i |C_i|) / |C_d|, with
+    no Fraction arithmetic. Raises DegreeTooLow below degree 1.
     """
     _nonconstant_degree(p, "Cauchy bound needs a non-constant polynomial")
-    return 1 + max(map(abs, p.coeffs[:-1])) / abs(p.leading)
+    *rest, lead = map(abs, p._row[0])
+    return _ratio(lead + max(rest), lead)

@@ -2,8 +2,9 @@
 
 Everything here is independent of the production code paths it checks:
 planted polynomials are expanded as one product (polyalg._product) of integer
-rows built straight from their factors' Fractions, which the descent never
-calls; sign-change extremes are found by enumerating completions, and roots are
+rows built straight from their factors' integer pairs, which the descent never
+calls, and their metadata is computed on the same pairs, one Fraction per
+value; sign-change extremes are found by enumerating completions, and roots are
 located by classical bisection. The oracles are deliberately slow and capped at
 desk scale — independence from the code under test outranks speed.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegreeOverflow, InvalidArgument, NoSignChange, TooLong, echo
-from .polyalg import Polynomial, _as_fraction, _as_gamma, _as_int, _product
+from .polyalg import Polynomial, _as_fraction, _as_gamma, _as_int, _product, _ratio
 
 
 class PlantedSpec(NamedTuple):
@@ -49,38 +50,42 @@ class PlantedPolynomial(NamedTuple):
 
 
 def plant(spec: PlantedSpec, max_degree: int = 64) -> PlantedPolynomial:
-    """Expand a PlantedSpec exactly and attach its ground-truth metadata. Each
-    factor goes to _product as an integer row built from its Fractions, a root
-    a/b as (b*x - a)/b and a quadratic over the lcm of p's and q's denominators."""
+    """Expand a PlantedSpec exactly and attach its ground-truth metadata, all
+    on integer pairs: a root a/b is (a, b), and the row (b*x - a)/b; a
+    quadratic's row is over the lcm of p's and q's denominators, and with
+    p = a/b, q = c/d, q - p^2/4 = (4cb^2 - a^2 d) / (4b^2 d). delta_min is the
+    least gap of the sorted roots over their common denominator."""
     leading = _as_fraction(spec.leading)
     if leading == 0:
         raise InvalidArgument("leading factor must be nonzero")
     roots = [(_as_fraction(r), _as_int(m, "multiplicity", 1)) for r, m in spec.real_roots]
     quads = [(_as_fraction(p), _as_fraction(q)) for p, q in spec.irreducible_quadratics]
     max_degree = _as_int(max_degree, "max_degree")
-    if len({r for r, _ in roots}) != len(roots):
+    pairs = [(r.numerator, r.denominator) for r, _ in roots]
+    if len(set(pairs)) != len(pairs):
         raise InvalidArgument("planted real roots must be distinct")
-    floor = abs(leading)
+    num, den = abs(leading.numerator), leading.denominator
     for p, q in quads:
-        disc_quarter = q - p * p / 4
-        if disc_quarter <= 0:
+        (a, b), (c, d) = p.as_integer_ratio(), q.as_integer_ratio()
+        gap = 4 * c * b * b - a * a * d  # q - p^2/4 = gap / (4b^2 d)
+        if gap <= 0:
             raise InvalidArgument(f"x^2 + {echo(p)}x + {echo(q)} has real roots")
-        floor *= disc_quarter
+        num, den = num * gap, den * 4 * b * b * d
     degree = sum(m for _, m in roots) + 2 * len(quads)
     if degree > max_degree:
         raise DegreeOverflow(f"degree {degree} exceeds cap {max_degree}")
     rows = [([leading.numerator], leading.denominator)]
-    for r, m in roots:
-        rows += [([-r.numerator, r.denominator], r.denominator)] * m
+    for (a, b), (_, m) in zip(pairs, roots):
+        rows += [([-a, b], b)] * m
     for p, q in quads:
         c = math.lcm(p.denominator, q.denominator)
         rows.append(([q.numerator * (c // q.denominator), p.numerator * (c // p.denominator), c], c))
-    poly = _product(rows)
-    distinct = sorted(r for r, _ in roots)
     delta = None
-    if len(distinct) >= 2:
-        delta = min(b - a for a, b in zip(distinct, distinct[1:]))
-    return PlantedPolynomial(poly, spec, delta, floor)
+    if len(pairs) >= 2:
+        lcd = math.lcm(*(b for _, b in pairs))
+        keys = sorted(a * (lcd // b) for a, b in pairs)
+        delta = _ratio(min(y - x for x, y in zip(keys, keys[1:])), lcd)
+    return PlantedPolynomial(_product(rows), spec, delta, _ratio(num, den))
 
 
 def sign_extremes(theta, gamma) -> tuple[int, int]:

@@ -239,6 +239,19 @@ def test_product_matches_a_schoolbook_fold(factors):
     assert all(is_reduced(c) for c in got.coeffs)
 
 
+def test_product_hands_over_the_reduced_row():
+    """_product divides its convolution by gcd(den, *ints) once: rows that
+    share a factor with their denominators give the reduced row, and a zero
+    factor, trimmed or not, gives the zero polynomial's row ((0,), 1)."""
+    p = _product([([2, 4], 6), ([3, 3], 9)])  # (1 + 2x)/3 * (1 + x)/3
+    assert p._row == ((1, 3, 2), 9)
+    assert p.coeffs == (Fraction(1, 9), Fraction(1, 3), Fraction(2, 9))
+    for zero in ([0], 5), ([0, 0], 7):
+        p = _product([([1, 2], 3), zero])
+        assert p._row == ((0,), 1) and p.coeffs == (Fraction(0),)
+        assert p == Polynomial([]) and p.is_zero()
+
+
 @given(st.integers(), st.integers(min_value=1), st.integers() | st.just(1))
 @example(0, 1, 1)
 @example(0, 10**31, 1)

@@ -202,6 +202,15 @@ def test_cauchy_rejects_constants():
         cauchy_bound(Polynomial([3]))
 
 
+def test_cauchy_equals_the_fraction_formula(chain_inputs):
+    """cauchy_bound, read from the integer row, is 1 + max|c_i| / |c_d| on
+    the Fraction coefficients, and a Fraction."""
+    for p in chain_inputs:
+        beta = cauchy_bound(p)
+        assert beta == 1 + max(map(abs, p.coeffs[:-1])) / abs(p.leading)
+        assert type(beta) is Fraction
+
+
 def test_cauchy_contains_all_roots():
     for _ in range(30):
         p, roots = random_squarefree(rng)

@@ -7,6 +7,7 @@ import pytest
 
 from certiroot import (
     DegreeOverflow,
+    InvalidArgument,
     NoSignChange,
     PlantedSpec,
     Polynomial,
@@ -102,14 +103,20 @@ def random_planted_spec(local, k):
     return PlantedSpec(tuple(roots), tuple(quads), leading)
 
 
-def test_plant_equals_a_factor_by_factor_product():
-    """plant's one product of integer rows equals the fold of binary products,
-    factor by factor, over random specs and one that has each case at once."""
+def wide_planted_specs():
+    """One spec that has each case of random_planted_spec at once, then 60
+    random ones."""
     every_case = PlantedSpec(
         ((Fraction(-5, 999999999989), 3), (Fraction(0), 2), (Fraction(7, 10**12), 1)),
         ((Fraction(1, 3), Fraction(3, 4)), (Fraction(-2, 5), Fraction(5, 7))), Fraction(-7, 3))
     local = random.Random(0x7E58)
-    for spec in [every_case] + [random_planted_spec(local, k) for k in range(60)]:
+    return [every_case] + [random_planted_spec(local, k) for k in range(60)]
+
+
+def test_plant_equals_a_factor_by_factor_product():
+    """plant's one product of integer rows equals the fold of binary products,
+    factor by factor, over random specs and one that has each case at once."""
+    for spec in wide_planted_specs():
         want = Polynomial([spec.leading])
         for rho, m in spec.real_roots:
             for _ in range(m):
@@ -122,6 +129,30 @@ def test_plant_equals_a_factor_by_factor_product():
                                              + 2 * len(spec.irreducible_quadratics))
 
 
+def fraction_metadata(spec):
+    """(delta_min, factor_floor) by Fraction arithmetic on the spec's values:
+    the reference for plant's integer pairs."""
+    floor = abs(spec.leading)
+    for p, q in spec.irreducible_quadratics:
+        floor *= q - p * p / 4
+    distinct = sorted(rho for rho, _ in spec.real_roots)
+    gaps = [b - a for a, b in zip(distinct, distinct[1:])]
+    return (min(gaps) if gaps else None), floor
+
+
+def test_plant_metadata_equals_the_fraction_formulas():
+    """delta_min and factor_floor, computed on integer pairs, equal the
+    Fraction formulas in value and are Fractions, with the roots given in
+    ascending and in descending order."""
+    for spec in wide_planted_specs():
+        delta, floor = fraction_metadata(spec)
+        for roots in (spec.real_roots, spec.real_roots[::-1]):
+            planted = plant(spec._replace(real_roots=roots))
+            assert planted.delta_min == delta and planted.factor_floor == floor
+            assert type(planted.factor_floor) is Fraction
+            assert delta is None or type(planted.delta_min) is Fraction
+
+
 def test_plant_validation():
     with pytest.raises(ValueError):
         plant(PlantedSpec(real_roots=((Fraction(1), 0),)))  # multiplicity < 1
@@ -129,6 +160,18 @@ def test_plant_validation():
         plant(PlantedSpec(real_roots=((Fraction(1), 1), (Fraction(1), 2))))
     with pytest.raises(ValueError):
         plant(PlantedSpec(irreducible_quadratics=((Fraction(2), Fraction(1)),)))
+    # a discriminant of exactly 0 has a real root, also where p's denominator is large
+    with pytest.raises(InvalidArgument) as err:
+        plant(PlantedSpec(irreducible_quadratics=((Fraction(-2), Fraction(1)),)))
+    assert str(err.value) == "x^2 + -2x + 1 has real roots"
+    p = Fraction(7, 10**12 + 39)
+    with pytest.raises(InvalidArgument) as err:
+        plant(PlantedSpec(irreducible_quadratics=((p, p * p / 4),)))
+    assert str(err.value) == "x^2 + 7/1000000000039x + 49/4000000000312000000006084 has real roots"
+    # the roots are checked before the quadratics
+    with pytest.raises(InvalidArgument) as err:
+        plant(PlantedSpec(((Fraction(1, 3), 1), (Fraction(1, 3), 2)), ((Fraction(2), Fraction(1)),)))
+    assert str(err.value) == "planted real roots must be distinct"
     with pytest.raises(ValueError):
         plant(PlantedSpec(real_roots=((Fraction(0), 1),), leading=Fraction(0)))
     with pytest.raises(DegreeOverflow):
