@@ -5,12 +5,9 @@ denominator), index i holding the coefficient of x^i. No floating point is
 used anywhere: every downstream guarantee (no missed root, exact counts) is
 unconditional only under exact arithmetic. Each polynomial carries its
 integer row `_row = (ints, den)`: den the least common denominator of the
-coefficients, ints[i] = c_i * den, read by `eval`, `*`, `sturm_chain`,
-`cauchy_bound` and `_ScaledChain`. `__init__`, the one path for int,
-Fraction and string input, builds it from the coefficients; `_product` (so
-`*` and `testkit.plant`) and `sturm_chain` hold it reduced and hand it over
-through `_from_row`, with no lcm. They and `eval` build each result
-coefficient once, from a reduced integer pair (`_ratio`).
+coefficients, ints[i] = c_i * den. `__init__` builds it from the
+coefficients; `_product` and `sturm_chain` hand theirs over (`_from_row`).
+Result coefficients are built once, from a reduced integer pair (`_ratio`).
 
 The zero polynomial is representable — it is what remainder sequences
 terminate in — and is distinguished from degree-0 constants: its `degree`
@@ -203,9 +200,8 @@ def _product(rows: Iterable[tuple[Sequence[int], int]]) -> Polynomial:
     __mul__ passes its operands' _row, testkit.plant rows built from its
     factors' integer pairs. The fold starts from the first row, with no seed
     [1], and convolves each next row into it over one running denominator,
-    the product of the rows' denominators. The result is trimmed, divided
-    once by gcd(den, *ints) and handed to _from_row with one reduced Fraction
-    per coefficient: no intermediate Polynomial or Fraction, and no lcm.
+    the product of the rows' denominators. The result is trimmed, reduced by
+    one gcd and handed to _from_row.
     """
     rows = iter(rows)
     out, den = next(rows, ([1], 1))
@@ -223,10 +219,9 @@ def _product(rows: Iterable[tuple[Sequence[int], int]]) -> Polynomial:
 
 
 def _from_row(coeffs: tuple, row: tuple) -> Polynomial:
-    """Polynomial(coeffs), with coeffs and _row set as given, for a maker that
-    holds both: row = (ints, den) reduced (gcd(den, *ints) = 1, den > 0, ints
-    a trimmed tuple) and coeffs the tuple of reduced Fractions ints[i]/den. A
-    reduced row's den is their lcm, so no lcm, type check or trim is run."""
+    """Polynomial(coeffs) with no lcm, type check or trim: row = (ints, den)
+    is reduced (gcd(den, *ints) = 1, den > 0, ints a trimmed tuple) and coeffs
+    the tuple of Fractions ints[i]/den."""
     p = object.__new__(Polynomial)
     object.__setattr__(p, "coeffs", coeffs)
     object.__setattr__(p, "_row", row)

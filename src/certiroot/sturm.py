@@ -27,8 +27,7 @@ Division on Fractions would run a gcd at every operation; here one rational
 is formed per element, and each returned coefficient lam_i * c is built once:
 num lam_i and den lam_i are coprime, so it is reduced by gcd(c, den lam_i),
 a gcd of Q_i's small coefficient rather than of the product num lam_i * c.
-Its row (num lam_i * Q_i, den lam_i) is reduced, as Q_i is primitive, so
-it is handed to the returned Polynomial (polyalg._from_row), with no lcm.
+Its row (num lam_i * Q_i, den lam_i) is reduced, as Q_i is primitive.
 """
 
 from __future__ import annotations
@@ -152,9 +151,8 @@ def _count_in(chain: SturmChain, a, b) -> int:
 def cauchy_bound(p: Polynomial) -> Fraction:
     """Cauchy's root bound beta = 1 + max_i |c_i / c_d|.
 
-    Every real root of p lies strictly inside (-beta, beta). It is read from
-    p's integer row, where den cancels: (|C_d| + max_i |C_i|) / |C_d|, with
-    no Fraction arithmetic. Raises DegreeTooLow below degree 1.
+    Every real root of p lies strictly inside (-beta, beta). Read from p's
+    row, where den cancels. Raises DegreeTooLow below degree 1.
     """
     _nonconstant_degree(p, "Cauchy bound needs a non-constant polynomial")
     *rest, lead = map(abs, p._row[0])

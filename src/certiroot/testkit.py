@@ -3,8 +3,7 @@
 Everything here is independent of the production code paths it checks:
 planted polynomials are expanded as one product (polyalg._product) of integer
 rows built straight from their factors' integer pairs, which the descent never
-calls, and their metadata is computed on the same pairs, one Fraction per
-value; sign-change extremes are found by enumerating completions, and roots are
+calls; sign-change extremes are found by enumerating completions, and roots are
 located by classical bisection. The oracles are deliberately slow and capped at
 desk scale — independence from the code under test outranks speed.
 """
@@ -51,10 +50,8 @@ class PlantedPolynomial(NamedTuple):
 
 def plant(spec: PlantedSpec, max_degree: int = 64) -> PlantedPolynomial:
     """Expand a PlantedSpec exactly and attach its ground-truth metadata, all
-    on integer pairs: a root a/b is (a, b), and the row (b*x - a)/b; a
-    quadratic's row is over the lcm of p's and q's denominators, and with
-    p = a/b, q = c/d, q - p^2/4 = (4cb^2 - a^2 d) / (4b^2 d). delta_min is the
-    least gap of the sorted roots over their common denominator."""
+    on integer pairs: a root a/b is (a, b) and its row (b*x - a)/b, and a
+    quadratic's row is over the lcm of p's and q's denominators."""
     leading = _as_fraction(spec.leading)
     if leading == 0:
         raise InvalidArgument("leading factor must be nonzero")
