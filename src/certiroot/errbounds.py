@@ -26,7 +26,7 @@ from .errors import (
     SeparationTooSmall,
     echo,
 )
-from .polyalg import Polynomial, _as_fraction, _as_int, _nonconstant_degree
+from .polyalg import Polynomial, _as_fraction, _as_int, _nonconstant_degree, _ratio
 
 
 class ApproxContext(NamedTuple("ApproxContext", [("r", int), ("d", int)])):
@@ -167,7 +167,8 @@ def small_value_threshold(
     product is >= 1). Under those certificates, every y strictly farther
     than 2^-r from all real roots of p satisfies |p(y)| > gamma.
 
-    Raises SeparationTooSmall when 2^-r >= delta_min / 2.
+    Raises SeparationTooSmall when 2^-r >= delta_min / 2. Computed on the
+    integer pairs delta_min = a/b and factor_floor = c/e.
     """
     delta_min = _as_fraction(delta_min)
     factor_floor = _as_fraction(factor_floor)
@@ -176,7 +177,9 @@ def small_value_threshold(
     if factor_floor <= 0:
         raise InvalidArgument("factor_floor must be > 0")
     d = _nonconstant_degree(p, "threshold needs degree >= 1")
-    step = Fraction(1, 2**ctx.r)
-    if step >= delta_min / 2:
-        raise SeparationTooSmall(f"2^-{ctx.r} >= {echo(delta_min)}/2")
-    return min(Fraction(1), delta_min / 2) * factor_floor * Fraction(1, 2 ** (d * ctx.r))
+    (a, b), (c, e), r = delta_min.as_integer_ratio(), factor_floor.as_integer_ratio(), ctx.r
+    if 2 * b >= a << r:
+        raise SeparationTooSmall(f"2^-{r} >= {echo(delta_min)}/2")
+    if a >= 2 * b:
+        return _ratio(c, e << d * r)
+    return _ratio(a * c, 2 * b * (e << d * r))

@@ -283,10 +283,12 @@ class _ScaledChain:
 
     def levels(self, top: int) -> list:
         """(split step, limits of a range's forms, limits of its halves') for
-        the levels h = 0..top: the step and limits _split_kernel documents."""
+        the levels h = 0..top, the step and limits _split_kernel documents;
+        the levels above r share one tuple."""
         lims, r = self.lims, self.r
-        return [(0, lims[0], lims[0])] + [
-            (1 if h > r else 2, lims[min(h, r)], lims[min(h - 1, r)]) for h in range(1, top + 1)]
+        low = min(top, r)
+        return ([(0, lims[0], lims[0])] + [(2, lims[h], lims[h - 1]) for h in range(1, low + 1)]
+                + [(1, lims[r], lims[r])] * (top - low))
 
     def root_form(self, idx: int, half: int) -> list:
         """Centred form of chain[idx] over [-half, half] (c = 0, hw = half, a
@@ -392,13 +394,14 @@ def _grid(c: Polynomial, params: PrecisionParams) -> RootCandidateList:
     """root_enum's checks and grid, with no candidates: a report's fields
     that need no descent."""
     d = _nonconstant_degree(c, "root enumeration needs degree >= 1")
-    if abs(c.leading) <= 2 * params.gamma:
+    (ints, den), gamma = c._row, params.gamma
+    if abs(ints[-1]) * gamma.denominator <= 2 * gamma.numerator * den:
         raise DegreeUnresolved(
-            f"|leading coefficient| = {echo(abs(c.leading))} <= 2*gamma = {echo(2 * params.gamma)}"
+            f"|leading coefficient| = {echo(abs(c.leading))} <= 2*gamma = {echo(2 * gamma)}"
         )
     beta, r = cauchy_bound(c), params.r
     e = ceil_log2(beta)  # >= 0, as beta >= 1
-    return RootCandidateList((), Fraction(1, 1 << r), 6 * d * d, beta, 1 << e, r + 1 + e)
+    return RootCandidateList((), _from_coprime_ints(1, 1 << r), 6 * d * d, beta, 1 << e, r + 1 + e)
 
 
 def root_enum(c: Polynomial, params: PrecisionParams) -> RootCandidateList:

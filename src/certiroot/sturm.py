@@ -12,10 +12,10 @@ the last chain element is then a gcd factor that divides every element).
 
 The chain is built in integers, by Collins' primitive remainder sequence
 (1967), and rescaled to the exact Euclidean elements only when returned. Each
-P_i is carried as lam_i * Q_i: Q_i a primitive integer vector, lam_i > 0 an
-exact rational. A remainder of a division by B does not change when B is
-scaled, and is linear in the dividend, so with d = deg Q_{i-2} - deg Q_{i-1}
-and L = lc(Q_{i-1})^(d+1),
+P_i is carried as lam_i * Q_i: Q_i a primitive integer vector, lam_i > 0 a
+coprime integer pair (num, den). A remainder of a division by B does not
+change when B is scaled, and is linear in the dividend, so with
+d = deg Q_{i-2} - deg Q_{i-1} and L = lc(Q_{i-1})^(d+1),
 
     P_i = -rem(P_{i-2}, P_{i-1}) = -lam_{i-2} * prem(Q_{i-2}, Q_{i-1}) / L,
 
@@ -23,11 +23,10 @@ where the pseudo-remainder prem(A, B) = lc(B)^(d+1) * rem(A, B) is an
 integer vector computed with no division. Its content g is divided out, and
 the sign of -L goes to Q_i, so lam_i = lam_{i-2} * g / |L| > 0. Every step
 is exact, so lam_i * Q_i is the Euclidean P_i coefficient by coefficient.
-Division on Fractions would run a gcd at every operation; here one rational
-is formed per element, and each returned coefficient lam_i * c is built once:
-num lam_i and den lam_i are coprime, so it is reduced by gcd(c, den lam_i),
-a gcd of Q_i's small coefficient rather than of the product num lam_i * c.
-Its row (num lam_i * Q_i, den lam_i) is reduced, as Q_i is primitive.
+Division on Fractions would run a gcd at every operation; here one gcd keeps
+each pair coprime, and each returned coefficient lam_i * c is built once,
+reduced by gcd(c, den), a gcd of Q_i's small coefficient rather than of the
+product num * c. Its row (num * Q_i, den) is reduced, as Q_i is primitive.
 """
 
 from __future__ import annotations
@@ -57,38 +56,40 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     [(Fraction(-2, 1), Fraction(0, 1), Fraction(1, 1)), (Fraction(0, 1), Fraction(2, 1)), (Fraction(2, 1),)]
 
     The remainders are taken in integers as pseudo-remainders of primitive
-    vectors, each element kept with the positive rational that scales it to
-    the Euclidean one (the module docstring has the step and why it is
+    vectors, each kept with the coprime pair (num, den) that scales it to the
+    Euclidean element (the module docstring has the step and why it is
     exact), so every element equals -euclid_rem of its two predecessors.
-    Each element after p is handed its integer row from that pair.
 
     Raises DegreeTooLow for constants and the zero polynomial. The chain has
     at most deg(p)+1 elements and degrees strictly decrease from P1 on.
     """
     _nonconstant_degree(p, "Sturm chain needs a non-constant polynomial")
     ints, den = p._row
-    lam, q = _primitive(ints, Fraction(1, den))
-    rows = [(lam, q), _primitive([i * c for i, c in enumerate(q)][1:], lam)]
-    while len(rows[-1][1]) > 1:
-        (lam, a), (_, b) = rows[-2], rows[-1]
+    rows = [_primitive(ints, 1, den)]
+    num, den, q = rows[0]
+    rows.append(_primitive([i * c for i, c in enumerate(q)][1:], num, den))
+    while len(rows[-1][2]) > 1:
+        (num, den, a), (_, _, b) = rows[-2], rows[-1]
         rem = _pseudo_remainder(a, b)
         while rem and not rem[-1]:
             rem.pop()
         if not rem:
             break
         lead = b[-1] ** (len(a) - len(b) + 1)
-        rows.append(_primitive(rem if lead < 0 else [-c for c in rem], lam / abs(lead)))
+        rows.append(_primitive(rem if lead < 0 else [-c for c in rem], num, den * abs(lead)))
     chain = [p]
-    for lam, q in rows[1:]:
-        num, den = lam.numerator, lam.denominator
+    for num, den, q in rows[1:]:
         chain.append(_from_row(tuple(_ratio(c, den, num) for c in q), (tuple(num * c for c in q), den)))
     return tuple(chain)
 
 
-def _primitive(ints: list, lam: Fraction) -> tuple:
-    """(lam * g, ints / g) for the content g > 0 of the nonzero vector ints."""
+def _primitive(ints: list, num: int, den: int) -> tuple:
+    """(num * g / h, den / h, ints / g) for the content g > 0 of the nonzero
+    vector ints and h = gcd(num * g, den): the pair stays coprime."""
     g = math.gcd(*ints)
-    return lam * g, [c // g for c in ints]
+    num *= g
+    h = math.gcd(num, den)
+    return num // h, den // h, [c // g for c in ints]
 
 
 def _pseudo_remainder(a: list, b: list) -> list:

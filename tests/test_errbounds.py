@@ -322,6 +322,45 @@ def test_threshold_errors():
         small_value_threshold(Polynomial([1]), 1, ApproxContext(r=4, d=1))
 
 
+def _reference_threshold(p, delta_min, ctx, factor_floor):
+    """small_value_threshold computed in Fraction arithmetic: the reference."""
+    step = Fraction(1, 2**ctx.r)
+    if step >= delta_min / 2:
+        raise SeparationTooSmall(f"2^-{ctx.r} >= {delta_min}/2")
+    return min(Fraction(1), delta_min / 2) * factor_floor * Fraction(1, 2 ** (p.degree * ctx.r))
+
+
+def test_threshold_equals_the_fraction_formula():
+    """Over delta_min/2 above 1, exactly 1 and below 1, factor floors with and
+    without factors of 2, degrees 1..6 and r from 1 to 40: the threshold is the
+    reduced Fraction of the reference, and 2^-r = delta_min/2 exactly raises
+    SeparationTooSmall with the reference's text, one step inside it does not."""
+    local = random.Random(0x7E5)
+    deltas = [Fraction(2), Fraction(3), Fraction(9, 2), Fraction(2, 3), Fraction(1, 10**12 + 39)]
+    deltas += [Fraction(local.randint(1, 10**6), local.randint(1, 10**6)) for _ in range(12)]
+    floors = [Fraction(1), Fraction(4), Fraction(3, 8), Fraction(12, 7), Fraction(10**15 + 37, 2**40)]
+    checked = raised = 0
+    for d in range(1, 7):
+        p = Polynomial([local.randint(-5, 5) for _ in range(d)] + [local.choice([-3, 1, 2])])
+        for r in [1, 2, 3, 5, 8, 13, 21, 40]:
+            ctx = ApproxContext(r=r, d=d)
+            edge = Fraction(2, 2**r)  # 2^-r = edge / 2
+            for delta in deltas + [edge, edge + Fraction(1, 2 ** (r + 30))]:
+                for floor in floors:
+                    try:
+                        want = _reference_threshold(p, delta, ctx, floor)
+                    except SeparationTooSmall as exc:
+                        with pytest.raises(SeparationTooSmall) as got:
+                            small_value_threshold(p, delta, ctx, floor)
+                        assert str(got.value) == str(exc)
+                        raised += 1
+                        continue
+                    got = small_value_threshold(p, delta, ctx, floor)
+                    assert type(got) is Fraction and got == want  # == on Fractions compares num, den
+                    checked += 1
+    assert checked > 2000 and raised > 200
+
+
 def test_threshold_is_an_off_root_floor():
     """One concrete planted instance, checked on the whole dyadic grid:
     every grid point farther than 2^-r from all roots has |p| > gamma."""

@@ -145,6 +145,41 @@ def test_untrusted_leading_coefficient():
         )
 
 
+def test_grid_leading_test_is_exact_at_twice_gamma():
+    """_grid raises DegreeUnresolved, with the Fractions in its text, at
+    |leading| = 2*gamma exactly, and builds the grid just above it; rows
+    whose denominators share factors with gamma's included."""
+    for coeffs in ([0, 1, Fraction(1, 2**20)], [Fraction(1, 6), 0, Fraction(-35, 12)],
+                   [3, Fraction(-5, 9), 2, Fraction(-7, 10**12)], [1, -2]):
+        poly = Polynomial(coeffs)
+        lead = abs(poly.leading)
+        for r in 1, 7, 40:
+            with pytest.raises(DegreeUnresolved) as err:
+                rootenum._grid(poly, PrecisionParams(r=r, gamma=lead / 2))
+            assert str(err.value) == f"|leading coefficient| = {lead} <= 2*gamma = {lead}"
+            grid = rootenum._grid(poly, PrecisionParams(r=r, gamma=lead / 2 - Fraction(1, 3 * 10**15)))
+            beta = cauchy_bound(poly)
+            e = ceil_log2(beta)
+            want = (Fraction(1, 2**r), 6 * poly.degree**2, beta, 2**e, r + 1 + e)
+            assert (grid.interval_width, grid.length_bound, grid.beta, grid.grid_bound,
+                    grid.r_prime) == want
+            assert type(grid.interval_width) is Fraction and grid.candidates == ()
+
+
+def test_levels_equal_the_per_level_definition():
+    """levels(top) is (0, lims[0], lims[0]) and, for h = 1..top, (1 above r
+    else 2, lims[min(h, r)], lims[min(h - 1, r)]), for top below, at and
+    above r."""
+    chain = sturm_chain(Polynomial([-6, 11, -6, 1]) * Polynomial([-2, 0, 1]))
+    for r in 1, 3, 8:
+        scaled = rootenum._ScaledChain(chain, r, Fraction(1, 64))
+        lims = scaled.lims
+        for top in {0, 1, r - 1, r, r + 1, r + 5}:
+            want = [(0, lims[0], lims[0])] + [
+                (1 if h > r else 2, lims[min(h, r)], lims[min(h - 1, r)]) for h in range(1, top + 1)]
+            assert scaled.levels(top) == want
+
+
 def test_ceil_log2():
     assert ceil_log2(1) == 0
     assert ceil_log2(2) == 1

@@ -73,8 +73,9 @@ def test_chain_rejects_constants():
 def test_chain_structure_random(chain_inputs):
     """First two entries are p, p'; each later entry is minus the remainder
     of its two predecessors; degrees strictly decrease; length <= deg+1; every
-    coefficient is a reduced Fraction. On 40 random squarefree inputs and on
-    conftest's chain_inputs."""
+    coefficient is a reduced Fraction, and every row (ints, den) is reduced,
+    den > 0, with ints[i] / den the coefficients. On 40 random squarefree
+    inputs and on conftest's chain_inputs."""
     for p in [random_squarefree(rng)[0] for _ in range(40)] + chain_inputs:
         chain = sturm_chain(p)
         assert chain[0] == p
@@ -87,6 +88,9 @@ def test_chain_structure_random(chain_inputs):
         for q in chain:
             assert all(type(c) is Fraction and c.denominator > 0
                        and math.gcd(c.numerator, c.denominator) == 1 for c in q.coeffs)
+            ints, den = q._row
+            assert den > 0 and math.gcd(den, *ints) == 1
+            assert tuple(Fraction(c, den) for c in ints) == q.coeffs
 
 
 def test_chain_repeated_root_ends_above_constant():
