@@ -338,9 +338,13 @@ class _ScaledChain:
         3. Plain interval Horner over [m0, m1], on V and the undivided lim:
            tight far from the roots. Each step's [lo, hi] * [m0, m1] takes its
            ends at the corners, and on one side of 0 the sign of each y end
-           picks its x end: two products. For m1 <= 0 the corners reflect,
-           the new lo coming from hi and the new hi from lo, which is the
-           exact product for x <= 0, so both sides run V's one row.
+           picks its x end. [lo, hi] holds V(m0), whose sign step 1 fixed,
+           so as lim >= 1 only lo >= lim can hold for V > 0 and only
+           -hi >= lim for V < 0: that one end is computed. For m1 <= 0 the
+           corners reflect, the new lo coming from hi and the new hi from lo
+           (the exact product for x <= 0), so the end's picks alternate step
+           by step, the degree's parity setting the first. Both sides run
+           V's one row.
         Only the whole grid [-half, half] holds 0 inside: every other range
         lies in one of its halves. There each step's product is
         +-half * max(|lo|, |hi|), so step 3 would give c0 +- sum_{j>=1}
@@ -358,14 +362,16 @@ class _ScaledChain:
         if m0 < 0 < m1:
             return False
         horner, lim = self.polys[idx]
-        lo = hi = horner[0]
+        y, (p, q) = horner[0], (m0, m1) if v0 > 0 else (m1, m0)
         if m1 <= 0:
+            if len(horner) % 2:
+                p, q = q, p
             for h in horner[1:]:
-                lo, hi = hi * (m0 if hi >= 0 else m1) + h, lo * (m1 if lo >= 0 else m0) + h
+                y, p, q = y * (p if y >= 0 else q) + h, q, p
         else:
             for h in horner[1:]:
-                lo, hi = lo * (m0 if lo >= 0 else m1) + h, hi * (m1 if hi >= 0 else m0) + h
-        return lo >= lim or -hi >= lim
+                y = y * (p if y >= 0 else q) + h
+        return (y if v0 > 0 else -y) >= lim
 
     @staticmethod
     def certified_small(form: list, lim: int) -> bool:

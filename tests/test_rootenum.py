@@ -781,9 +781,11 @@ def test_carried_classes_equal_exact_classes(monkeypatch):
     same point, the chain evaluated in Fractions and classified against
     gamma: on Wilkinson d=20, on the cubic that fires every cell (most of its
     points classify uniform ranges), on x^2 - 2 at a coarse gamma (some
-    uniform ranges too) and on planted polynomials at the floor. Each is
-    compared after root_enum returns, so a vector written after classify
-    returned it fails too."""
+    uniform ranges too), on a degree-7 input where an element goes off on
+    right halves with both signs, one inside the other's left sibling (a
+    right half writing into its parent's list fails there), and on planted
+    polynomials at the floor. Each is compared after root_enum returns, so a
+    vector written after classify returned it fails too."""
     seen = []
     classify = rootenum._ScaledChain.classify
 
@@ -799,6 +801,7 @@ def test_carried_classes_equal_exact_classes(monkeypatch):
         *((wilkinson20, r, Fraction(1, 2 ** (20 * r))) for r in (32, 64)),
         *((Polynomial([-2, -8, -7, 2]), r, Fraction(1, 64)) for r in (3, 4, 5)),
         (X2_MINUS_2, 10, Fraction(1, 64)),
+        (Polynomial([0, 11, 10, -12, -5, 8, 3, 2]), 4, Fraction(1, 4)),
         *_planted_floor_calls(0xC1A5, 50),
     ]
     checked = 0
